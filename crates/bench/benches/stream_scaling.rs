@@ -73,8 +73,8 @@ fn bench_stream_scaling(c: &mut Criterion) {
                 },
             );
         }
-        // The parallel engine at a fixed small worker count: tracks the
-        // sharded-worker pipeline's overhead against sequential streaming
+        // The threaded engine at a fixed small worker count: tracks the
+        // sharded-worker pipeline's overhead against inline streaming
         // (`stream_256k`) on the same chunk size.
         group.bench_with_input(
             BenchmarkId::new("parallel_256k_w2", &label),

@@ -8,7 +8,8 @@
 //!   `BENCH_detect.json`.
 //! * `repro detect --stream [--quick] [--out PATH]` runs the streaming
 //!   ingestion comparison: the in-memory engine vs the chunk-by-chunk
-//!   `StreamingDetector` on a >=10M-event synthetic trace (CI-sized with
+//!   streaming engine run inline (`StreamingDetector`) on a >=10M-event
+//!   synthetic trace (CI-sized with
 //!   `--quick`), verifies bit-identical results plus the chunked-file
 //!   spill/re-ingest roundtrip — one row per on-disk format (`jsonl` and
 //!   `pbin`) — reports the peak resident state, and writes
@@ -461,15 +462,16 @@ fn roundtrip_row(
 }
 
 /// The sharded-worker streaming run (`--parallel`), reported next to the
-/// sequential streaming baseline it must match bit-for-bit.
+/// inline streaming run; both must match the batch engine bit-for-bit.
 #[derive(Debug, Serialize)]
 struct ParallelStreamReport {
     workers: usize,
     stream_ms: f64,
-    /// Sequential streaming wall-clock over parallel streaming wall-clock.
+    /// Inline (one-worker) streaming wall-clock over threaded streaming
+    /// wall-clock. The field keeps its historical name.
     speedup_vs_sequential: f64,
-    /// Content digest (breakdown + every pair/edge) AND ranked-report digest
-    /// both equal to the sequential streaming run's.
+    /// Content digest (breakdown + every pair/edge) equal to the in-memory
+    /// batch run's, and ranked-report digest equal to the inline run's.
     results_identical: bool,
     report_digest: String,
     /// Peak resident state summed across the decoder and all worker shards.
@@ -575,9 +577,9 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
     let (batch_digest, batch_ms) = measure("in-memory batch", runs, || {
         Detector::new(config).analyze(&trace)
     });
-    // Sequential streaming is timed explicitly (not through `measure`) so
-    // the analysis survives long enough for a ranked-report digest — the
-    // second half of the parallel equivalence check.
+    // Inline streaming is timed explicitly (not through `measure`) so the
+    // analysis survives long enough for a ranked-report digest — the second
+    // half of the parallel equivalence check.
     let (streamed, stream_ms) = time_ms(|| {
         StreamingDetector::new(config)
             .analyze_trace(&trace, chunk_events)
@@ -592,8 +594,8 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
     let total_sections = stats.sections;
 
     // The sharded per-lock worker pipeline: decoder -> bounded channel ->
-    // N workers -> in-order shard absorption. Timed against the sequential
-    // streaming run it must reproduce bit-for-bit.
+    // N workers -> in-order shard absorption. Timed against the inline
+    // streaming run; its content is pinned to the batch engine's.
     let parallel = parallel.then(|| {
         let workers = parallel_workers();
         let (par, par_ms) = time_ms(|| {
@@ -608,7 +610,7 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
             workers,
             stream_ms: par_ms,
             speedup_vs_sequential: stream_ms / par_ms,
-            results_identical: par_digest == stream_digest && par_ranked == stream_ranked,
+            results_identical: par_digest == batch_digest && par_ranked == stream_ranked,
             report_digest: format!("{par_ranked:016x}"),
             memory: MemoryReport::from_streaming(&par.stats),
             streaming: par.stats,
@@ -688,12 +690,12 @@ fn run_stream(quick: bool, out: &str, spill: Option<&str>, parallel: bool) {
     if let Some(par) = &report.parallel {
         assert!(
             par.results_identical,
-            "parallel streaming detector diverged from sequential streaming \
+            "threaded streaming detector diverged from the batch engine \
              (workers {}, digest {})",
             par.workers, par.report_digest
         );
         eprintln!(
-            "parallel streaming x{}: {:.0}ms ({:.2}x vs sequential streaming), identical",
+            "parallel streaming x{}: {:.0}ms ({:.2}x vs inline streaming), identical",
             par.workers, par.stream_ms, par.speedup_vs_sequential
         );
     }
@@ -2022,10 +2024,10 @@ fn run_inject(spec: &str, out: Option<&str>) {
                     detail,
                 });
             }
-            // Parallel streaming over the same corrupted artifact: the
+            // Threaded streaming over the same corrupted artifact: the
             // sharded engine inherits the no-panic invariant and must end
             // the trial — report, gap-report or structured error — like the
-            // sequential one.
+            // inline one.
             let (outcome, detail) = inject_outcome(|| {
                 let mut reader =
                     ChunkFileReader::with_policy(&corrupted, RecoveryPolicy::SkipChunk)?;
@@ -2213,7 +2215,7 @@ fn run_batch_chunk_dir(dir: &str, quick: bool, out: &str) {
 #[derive(Debug, Serialize)]
 struct ChunkFileReport {
     path: String,
-    /// Worker count of the sharded engine; `None` for the sequential one.
+    /// Worker count of the threaded engine; `None` for the inline one.
     workers: Option<usize>,
     /// Decode-worker pool of the pipelined reader; `None` when the
     /// sequential reader ran.
@@ -2232,15 +2234,16 @@ struct ChunkFileReport {
 /// `repro detect --stream --chunk-file PATH`: streams the detector off an
 /// on-disk chunked trace file — the `ChunkedWriter` format — so traces
 /// spilled at record time are analyzed without ever materializing the event
-/// log. With `--parallel`, the sharded [`ParallelStreamingDetector`] decodes
-/// and classifies instead of the sequential engine. Exits non-zero with the
+/// log. With `--parallel`, the threaded [`ParallelStreamingDetector`]
+/// classifies behind the pipelined reader instead of the inline engine.
+/// Exits non-zero with the
 /// structured `StreamError` on a malformed or truncated file.
 fn run_stream_file(path: &str, out: Option<&str>, parallel: bool) {
     let config = detect_bench_config();
     let workers = parallel.then(parallel_workers);
     let decode_workers = parallel.then(default_decode_workers);
-    // The parallel run pairs the pipelined reader with the sharded
-    // detector; the sequential run keeps the single-threaded reader. Both
+    // The parallel run pairs the pipelined reader with the threaded
+    // detector; the inline run keeps the single-threaded reader. Both
     // yield bit-identical streams, reports, and error diagnostics.
     let (result, analyze_ms) = match workers {
         Some(workers) => {

@@ -20,10 +20,21 @@
 //!    lock and produces the [`UlcpAnalysis`] (pairs, causal edges, and the
 //!    per-category [`UlcpBreakdown`] that reproduces a row of Table 1).
 //!
-//! For traces too large to hold in memory, [`StreamingDetector`] consumes a
+//! For traces too large to hold in memory, the streaming engine consumes a
 //! chunked event stream (`perfplay_trace::EventSource`) and produces the
 //! same [`UlcpAnalysis`] bit-for-bit while keeping only bounded incremental
-//! state resident.
+//! state resident. It has two modes over one state machine:
+//!
+//! ```text
+//!   EventSource ─> decoder ─┬─ inline (1 worker): the calling thread pairs
+//!                           │  each chunk — StreamingDetector, and
+//!                           │  ParallelStreamingDetector at one worker
+//!                           └─ threaded (N workers): per-lock shards on
+//!                              worker threads — ParallelStreamingDetector
+//! ```
+//!
+//! At one worker the [`StreamingStats`] peaks are exact; threaded runs
+//! report the worker peaks summed, an upper bound.
 //!
 //! Every engine emits its classified pairs through a [`UlcpSink`]. The
 //! default [`CollectPairs`] sink materializes the historical pair list;

@@ -1,25 +1,31 @@
-//! Parallel streaming detection: sharded per-lock workers over a decoded
-//! chunk pipeline.
+//! The streaming engine: a decoder stage feeding per-lock pairing workers,
+//! run inline on the calling thread or sharded across worker threads.
 //!
-//! [`StreamingDetector`](crate::StreamingDetector) consumes the stream on one
-//! thread; [`ParallelStreamingDetector`] splits the same incremental
-//! Algorithm 1 state machine into a pipeline:
+//! This is the crate's only incremental Algorithm 1 state machine.
+//! [`StreamingDetector`](crate::StreamingDetector) and
+//! [`ParallelStreamingDetector`] at one worker run it **inline**; with more
+//! workers the same stages form a pipeline:
 //!
 //! ```text
 //!   EventSource ──> decoder (calling thread)
 //!                     │  validates the chunk contract, extracts sections,
 //!                     │  assigns ids, slot-maps the shadow-memory log
+//!           ┌─────────┴───────────────────────┐
+//!           ▼ inline (1 worker)               ▼ threaded (N > 1 workers)
+//!   the calling thread runs the       one bounded channel per worker
+//!   one worker on each packet:        (backpressure keeps peak state
+//!   no thread, no channel, and        bounded by the chunk size); worker
+//!   the sink need not be `Send`       `i` owns the locks with
+//!           │                         `lock.index() % N == i`
+//!           └─────────┬───────────────────────┘
 //!                     ▼
-//!        bounded channel per worker (backpressure: peak state stays
-//!                     │            bounded by chunk size)
-//!                     ▼
-//!   N workers, each owning the locks with `lock.index() % N == worker`:
-//!     horizon-pruned history, pairing cursors, eager retirement —
-//!     emitting into per-lock forked `UlcpSink` shards
+//!   each worker: horizon-pruned history, pairing cursors, eager
+//!   retirement — emitting into per-lock forked `UlcpSink` lanes
 //!                     │
 //!                     ▼
-//!   merge: shards absorbed in ascending-lock order, sections assembled
-//!   by id, compaction remap, seal — bit-identical to sequential streaming
+//!   finish: (threaded only) merge the worker section tables by id; absorb
+//!   the lanes in ascending-lock order, compaction remap, one seal —
+//!   bit-identical to `Detector::analyze` and `reference_analyze`
 //! ```
 //!
 //! Locks are independent (no pair ever spans two locks), so routing whole
@@ -31,13 +37,14 @@
 //! within one lock the delivery order (ascending id) is preserved verbatim;
 //! and shards merge through the existing [`UlcpSink::fork`]/
 //! [`UlcpSink::absorb`] discipline in ascending-lock order before one final
-//! [`UlcpSink::seal`]. The equivalence is property-tested in
-//! `tests/streaming_equivalence.rs` and unit-tested below.
+//! [`UlcpSink::seal`]. The equivalence is property-tested against
+//! [`reference_analyze`](crate::reference_analyze) in
+//! `tests/engine_equivalence.rs` and unit-tested below.
 //!
 //! Gap handling lives entirely in the decoder: a [`StreamGap`] only relaxes
 //! the per-thread contiguity check for the next span, so workers never see
 //! it — detection over the surviving chunks is exactly detection over the
-//! trace with the lost events removed, as in the sequential engine.
+//! trace with the lost events removed.
 //!
 //! Beyond the thread fan-out, workers classify through a two-word fast path:
 //! every closed section carries a [`PairKey`] (its read/write
@@ -166,9 +173,12 @@ struct SlotLog {
     first_read: Option<(Time, i64)>,
 }
 
-/// Same pruning contract as the sequential engine's `StreamingHistory`, but
-/// slot-indexed: the decoder maps every `ObjectId` to a dense `u32` once,
-/// so the replay and every prune walk are vector operations.
+/// Per-object shadow-memory history, pruned below the *horizon* — the
+/// earliest virtual time any live pairing search can still query. Queries
+/// always come from live sections' enter times, so answers are identical to
+/// the unpruned [`LastWriteIndex`](crate::LastWriteIndex). Slot-indexed: the
+/// decoder maps every `ObjectId` to a dense `u32` once, so the replay and
+/// every prune walk are vector operations.
 #[derive(Debug, Default)]
 struct SlotHistory {
     logs: Vec<SlotLog>,
@@ -290,10 +300,9 @@ fn fast_classify(a: PairKey, b: PairKey) -> Option<PairClass> {
 // Worker-side pairing state.
 // ---------------------------------------------------------------------------
 
-/// One `(current, other-thread)` sequential search. The dense-array
-/// equivalent of the sequential engine's per-thread `Search` map entries: a
-/// thread with no candidates yet has the default state (`pos == len == 0`,
-/// not done), exactly like a missing map entry.
+/// One `(current, other-thread)` sequential search, as the batch engine runs
+/// it. A thread with no candidates yet has the default state
+/// (`pos == len == 0`, not done).
 #[derive(Debug, Default, Clone, Copy)]
 struct SearchV {
     /// Classifications performed so far (the unit the scan cap counts).
@@ -631,7 +640,7 @@ impl<S: UlcpSink> Worker<S> {
     /// delivery. Each search consumes its candidate list strictly in
     /// delivery order from its own cursor, so the per-search classification
     /// sequence — and with it every cap cutoff, TLCP termination, retirement
-    /// and the breakdown — is exactly the sequential engine's. Only the
+    /// and the breakdown — is exactly the batch engine's. Only the
     /// interleaving of emissions *between* searches differs, which
     /// [`UlcpSink::seal`] canonicalizes.
     fn sweep(&mut self) {
@@ -820,12 +829,14 @@ impl<S: UlcpSink> Worker<S> {
         self.peak_pairs = self.peak_pairs.max(resident);
     }
 
-    fn finish(mut self) -> WorkerResult<S> {
+    /// Drains the end of the stream and hands back the lane prototype (the
+    /// caller's own sink in inline mode) plus this shard's results.
+    fn finish(mut self) -> (S, WorkerResult<S>) {
         self.ending = true;
         // Flush sections still awaiting delivery: their same-(lock, thread)
         // predecessors never closed, so those blockers will never deliver.
         // Deliver the closed remainder in id order (local index order), as
-        // the sequential engine does; never-closed placeholders are dropped.
+        // the batch engine pairs them; never-closed placeholders are dropped.
         let mut leftovers: Vec<(LockId, usize, u32)> = Vec::new();
         for (&lock, lane) in &mut self.locks {
             for (ti, queue) in lane.delivery.iter_mut().enumerate() {
@@ -843,7 +854,7 @@ impl<S: UlcpSink> Worker<S> {
         self.sweep();
         self.retire_and_prune(Time::MAX, true);
         self.sample_peaks();
-        WorkerResult {
+        let result = WorkerResult {
             sections: self.sections,
             breakdown: self.breakdown,
             sinks: self
@@ -855,7 +866,8 @@ impl<S: UlcpSink> Worker<S> {
             peak_history: self.peak_history,
             peak_pairs: self.peak_pairs,
             retired_before_end: self.retired_before_end,
-        }
+        };
+        (self.proto, result)
     }
 }
 
@@ -877,7 +889,7 @@ struct PairSink<'a, S: UlcpSink> {
 
 impl<S: UlcpSink> PairSink<'_, S> {
     /// Classifies one `(first, second)` local-index pair exactly as the
-    /// sequential engine does — through the summary-word fast path when it
+    /// batch engine does — through the summary-word fast path when it
     /// is decisive — then emits the outcome and updates the search state.
     /// `fm` must be `self.meta[first]` — hoisted by the caller, which holds
     /// it fixed across a whole candidate scan.
@@ -948,7 +960,7 @@ fn run_worker<S: UlcpSink>(
     loop {
         match rx.recv() {
             Ok(Msg::Chunk(packet)) => worker.ingest(packet),
-            Ok(Msg::Finish) => return Some(worker.finish()),
+            Ok(Msg::Finish) => return Some(worker.finish().1),
             // Disconnect without Finish: the decoder aborted on an error;
             // this worker's partial state is meaningless.
             Err(_) => return None,
@@ -992,8 +1004,10 @@ struct DecThread {
     resync: bool,
 }
 
-/// The reader/decoder stage: validates exactly what the sequential engine
-/// validates (same error messages), extracts sections, assigns ids in the
+/// The reader/decoder stage: validates the chunk contract (ascending span
+/// threads, per-thread contiguity with one forward jump after a gap,
+/// monotone timestamps inside advancing windows), extracts sections, assigns
+/// ids in the
 /// global `(enter_time, thread, acquire_index)` order, slot-maps the memory
 /// log, and routes placeholders/closures to workers by `lock.index() % N`.
 struct Decoder {
@@ -1050,9 +1064,9 @@ impl Decoder {
         self.stats.chunks += 1;
         self.stats.peak_chunk_events = self.stats.peak_chunk_events.max(chunk.num_events());
 
-        // Phase A: per-thread extraction, identical to the sequential
-        // engine. Memory events are collected in thread-major order so the
-        // stable time sort below reproduces the global tie order.
+        // Phase A: per-thread extraction. Memory events are collected in
+        // thread-major order so the stable time sort below reproduces the
+        // global tie order `LastWriteIndex::build` uses.
         let mut chunk_mem: Vec<(Time, ObjectId, i64, bool)> = Vec::new();
         let mut new_acquires: Vec<(Time, ThreadId, usize)> = Vec::new();
         // Sections that closed this chunk live in one arena; every later
@@ -1275,7 +1289,7 @@ impl Decoder {
         }
 
         // Phase B.3: route closed sections in id order. Within one lock the
-        // worker sees exactly the sequence the sequential engine would.
+        // worker sees them in exactly the batch engine's candidate order.
         closed_now.sort_unstable();
         for (id, slot) in closed_now {
             self.closed_global[id.index()] = true;
@@ -1299,6 +1313,163 @@ impl Decoder {
 
         self.prev_window_end = Some(chunk.window_end);
         Ok(packets)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Coordinators: the inline engine, and the steps both modes share.
+// ---------------------------------------------------------------------------
+
+/// The inline engine: the calling thread decodes each chunk and hands its
+/// one packet straight to a single [`Worker`] whose lanes fork from the
+/// caller's sink. No thread is spawned, no channel opened and no shard
+/// merged, so the sink need not be `Send`.
+pub(crate) fn analyze_inline<Src: EventSource, S: UlcpSink>(
+    config: DetectorConfig,
+    source: &mut Src,
+    sink: S,
+) -> Result<StreamingSinkAnalysis<S>, StreamError> {
+    let num_threads = source.num_threads();
+    let mut decoder = Decoder::new(config, num_threads, 1);
+    let mut worker = Worker::new(config, num_threads, sink);
+    while let Some(item) = source.next_item()? {
+        match item {
+            StreamItem::Chunk(chunk) => {
+                for packet in decoder.ingest(chunk)? {
+                    worker.ingest(packet);
+                }
+            }
+            StreamItem::Gap(gap) => decoder.note_gap(&gap),
+        }
+    }
+    let (root, result) = worker.finish();
+    Ok(finish_run(decoder, root, vec![result]))
+}
+
+/// Assembles the global section table from the workers' shards. Each shard
+/// is ascending (delivery order) and every id lives in exactly one shard,
+/// so an id-order merge moves each section once — no scatter through a
+/// `Vec<Option<_>>` twice its size.
+fn merge_shard_sections(
+    mut shards: Vec<Vec<CriticalSection>>,
+    total: usize,
+) -> Vec<CriticalSection> {
+    if shards.len() == 1 {
+        // One worker owned every id: its table is already the global one.
+        return shards.pop().unwrap_or_default();
+    }
+    let mut sections: Vec<CriticalSection> = Vec::with_capacity(total);
+    // Cursor merge over the shards' `IntoIter`s: `as_slice` peeks by
+    // reference (no buffered move) and each round takes the winner's whole
+    // run — every section strictly below the runner-up's front id — in one
+    // `extend`, so a section moves exactly once.
+    let mut heads: Vec<std::vec::IntoIter<CriticalSection>> =
+        shards.into_iter().map(Vec::into_iter).collect();
+    loop {
+        let mut best: Option<(usize, SectionId)> = None;
+        let mut runner_up: Option<SectionId> = None;
+        for (w, head) in heads.iter().enumerate() {
+            let Some(s) = head.as_slice().first() else {
+                continue;
+            };
+            match best {
+                Some((_, b)) if s.id > b => {
+                    if runner_up.is_none_or(|r| s.id < r) {
+                        runner_up = Some(s.id);
+                    }
+                }
+                Some((_, b)) => {
+                    runner_up = Some(b);
+                    best = Some((w, s.id));
+                }
+                None => best = Some((w, s.id)),
+            }
+        }
+        let Some((w, id)) = best else { break };
+        debug_assert!(
+            sections.last().is_none_or(|p| p.id < id),
+            "each id is owned by one worker"
+        );
+        let run = match runner_up {
+            None => heads[w].as_slice().len(),
+            Some(r) => {
+                let pending = heads[w].as_slice();
+                let mut n = 1;
+                while n < pending.len() && pending[n].id < r {
+                    n += 1;
+                }
+                n
+            }
+        };
+        sections.extend(heads[w].by_ref().take(run));
+    }
+    sections
+}
+
+/// The last step of every run, inline or threaded: assemble the section
+/// table, fold the workers' accounting into the decoder's, absorb the
+/// per-lock sink shards into the root in ascending lock order, drop sections
+/// that never closed (renumbering densely, as the batch extractor would
+/// never have emitted them), and seal.
+fn finish_run<S: UlcpSink>(
+    decoder: Decoder,
+    mut root: S,
+    mut results: Vec<WorkerResult<S>>,
+) -> StreamingSinkAnalysis<S> {
+    let shards = results
+        .iter_mut()
+        .map(|r| std::mem::take(&mut r.sections))
+        .collect();
+    let mut sections = merge_shard_sections(shards, decoder.next_id as usize);
+    assert_eq!(
+        sections.len(),
+        decoder.next_id as usize,
+        "every assigned id was routed to exactly one worker"
+    );
+    let mut breakdown = UlcpBreakdown {
+        lock_acquisitions: decoder.lock_acquisitions,
+        ..UlcpBreakdown::default()
+    };
+    let mut stats = decoder.stats;
+    let mut all_sinks: Vec<(LockId, S)> = Vec::new();
+    for result in results {
+        breakdown.merge_pair_counts(&result.breakdown);
+        stats.peak_live_sections += result.peak_live;
+        stats.peak_history_entries += result.peak_history;
+        stats.peak_live_pairs += result.peak_pairs;
+        stats.retired_before_end += result.retired_before_end;
+        all_sinks.extend(result.sinks);
+    }
+    all_sinks.sort_unstable_by_key(|&(lock, _)| lock);
+    for (_, shard) in all_sinks {
+        root.absorb(shard);
+    }
+    stats.peak_live_pairs = stats.peak_live_pairs.max(root.resident_entries());
+
+    if decoder.closed_global.iter().any(|&c| !c) {
+        let mut remap: Vec<Option<SectionId>> = Vec::with_capacity(sections.len());
+        let mut kept = 0u32;
+        for &closed in &decoder.closed_global {
+            if closed {
+                remap.push(Some(SectionId::new(kept)));
+                kept += 1;
+            } else {
+                remap.push(None);
+            }
+        }
+        sections.retain(|s| remap[s.id.index()].is_some());
+        for s in &mut sections {
+            s.id = remap[s.id.index()].expect("kept section has a mapping");
+        }
+        root.remap_sections(&remap);
+    }
+    root.seal(&sections);
+
+    StreamingSinkAnalysis {
+        sections,
+        breakdown,
+        sink: root,
+        stats,
     }
 }
 
@@ -1760,17 +1931,18 @@ impl UlcpSink for OrderedPairs {
 /// PerfPlay's ULCP identification stage over a chunked event stream, fanned
 /// out across sharded per-lock worker threads.
 ///
-/// The reader/decoder stage runs on the calling thread; `workers` OS threads
-/// each own the locks with `lock.index() % workers == worker` and run the
-/// same incremental Algorithm 1 state machine as
-/// [`StreamingDetector`](crate::StreamingDetector) over their shard. Output
-/// is **bit-identical** to sequential streaming (and therefore to
-/// [`Detector::analyze`](crate::Detector::analyze)): ids, pair order after
-/// sealing, breakdown and section table all match exactly.
+/// The reader/decoder stage runs on the calling thread. At one worker the
+/// calling thread also runs the pairing (the inline mode
+/// [`StreamingDetector`](crate::StreamingDetector) uses); with `workers > 1`
+/// that many OS threads each own the locks with
+/// `lock.index() % workers == worker`. Output is **bit-identical** to
+/// [`Detector::analyze`](crate::Detector::analyze) at every worker count:
+/// ids, pair order after sealing, breakdown and section table all match
+/// exactly.
 ///
-/// Peak-state accounting ([`StreamingStats`]) reports worker peaks *summed*,
-/// an upper bound on the true simultaneous peak; it remains bounded by the
-/// chunk size exactly as the sequential engine's is.
+/// Peak-state accounting ([`StreamingStats`]) is exact at one worker; with
+/// more it reports worker peaks *summed*, an upper bound on the true
+/// simultaneous peak that stays bounded by the chunk size.
 #[derive(Debug, Clone)]
 pub struct ParallelStreamingDetector {
     config: DetectorConfig,
@@ -1803,16 +1975,14 @@ impl ParallelStreamingDetector {
     }
 
     /// Consumes the source to exhaustion and returns the analysis,
-    /// bit-identical to [`StreamingDetector::analyze`] and
-    /// [`Detector::analyze`] over the same events.
+    /// bit-identical to [`Detector::analyze`] over the same events.
     ///
     /// # Errors
     ///
     /// Propagates source errors and rejects streams that violate the chunk
     /// contract or per-thread timestamp monotonicity — the same conditions,
-    /// with the same error values, as the sequential streaming engine.
+    /// with the same error values, at every worker count.
     ///
-    /// [`StreamingDetector::analyze`]: crate::StreamingDetector::analyze
     /// [`Detector::analyze`]: crate::Detector::analyze
     pub fn analyze<Src: EventSource>(
         &self,
@@ -1833,11 +2003,12 @@ impl ParallelStreamingDetector {
     /// Consumes the source to exhaustion, emitting every classified pair
     /// through per-lock forked shards of the caller's sink. Shards are
     /// absorbed back in ascending lock order and sealed once, so an
-    /// order-preserving sink ends up with the exact sequential output.
+    /// order-preserving sink ends up with the exact canonical output.
     ///
-    /// The sink must be `Send` because its forked shards live on the worker
-    /// threads; sinks that cannot be sent should use the sequential
-    /// [`StreamingDetector::analyze_with`].
+    /// At one worker this runs the inline engine on the calling thread;
+    /// otherwise the sink must be `Send` because its forked shards live on
+    /// the worker threads. Sinks that cannot be sent use
+    /// [`StreamingDetector::analyze_with`], which is always inline.
     ///
     /// # Errors
     ///
@@ -1849,11 +2020,13 @@ impl ParallelStreamingDetector {
         source: &mut Src,
         sink: S,
     ) -> Result<StreamingSinkAnalysis<S>, StreamError> {
+        if self.workers == 1 {
+            return analyze_inline(self.config, source, sink);
+        }
         let workers = self.workers;
         let num_threads = source.num_threads();
         let config = self.config;
         let protos: Vec<S> = (0..workers).map(|_| sink.fork()).collect();
-        let mut root = sink;
         let mut decoder = Decoder::new(config, num_threads, workers);
 
         let (outcome, joined) = std::thread::scope(|scope| {
@@ -1900,120 +2073,11 @@ impl ParallelStreamingDetector {
             (outcome, joined)
         });
         outcome?;
-        let results: Vec<WorkerResult<S>> = joined
+        let results = joined
             .into_iter()
             .map(|r| r.expect("workers receive Finish on the success path"))
             .collect();
-
-        // Merge: assemble sections by global id (every id was routed to
-        // exactly one worker), sum the worker-side accounting, and absorb
-        // the per-lock sink shards in ascending lock order.
-        let total = decoder.next_id as usize;
-        let mut breakdown = UlcpBreakdown {
-            lock_acquisitions: decoder.lock_acquisitions,
-            ..UlcpBreakdown::default()
-        };
-        let mut stats = decoder.stats;
-        let mut all_sinks: Vec<(LockId, S)> = Vec::new();
-        let mut shard_sections: Vec<Vec<CriticalSection>> = Vec::with_capacity(results.len());
-        for result in results {
-            shard_sections.push(result.sections);
-            breakdown.merge_pair_counts(&result.breakdown);
-            stats.peak_live_sections += result.peak_live;
-            stats.peak_history_entries += result.peak_history;
-            stats.peak_live_pairs += result.peak_pairs;
-            stats.retired_before_end += result.retired_before_end;
-            all_sinks.extend(result.sinks);
-        }
-        // Assemble the global section table by merging the shards on id:
-        // each shard is ascending (delivery order), every id lives in exactly
-        // one shard, so an id-order merge moves each section once — no
-        // scatter through a `Vec<Option<_>>` twice its size.
-        let mut sections: Vec<CriticalSection> = Vec::with_capacity(total);
-        {
-            // Cursor merge over the shards' `IntoIter`s: `as_slice` peeks by
-            // reference (no buffered move) and each round takes the winner's
-            // whole run — every section strictly below the runner-up's front
-            // id — in one `extend`, so a section moves exactly once.
-            let mut heads: Vec<std::vec::IntoIter<CriticalSection>> =
-                shard_sections.into_iter().map(Vec::into_iter).collect();
-            loop {
-                let mut best: Option<(usize, SectionId)> = None;
-                let mut runner_up: Option<SectionId> = None;
-                for (w, head) in heads.iter().enumerate() {
-                    let Some(s) = head.as_slice().first() else {
-                        continue;
-                    };
-                    match best {
-                        Some((_, b)) if s.id > b => {
-                            if runner_up.is_none_or(|r| s.id < r) {
-                                runner_up = Some(s.id);
-                            }
-                        }
-                        Some((_, b)) => {
-                            runner_up = Some(b);
-                            best = Some((w, s.id));
-                        }
-                        None => best = Some((w, s.id)),
-                    }
-                }
-                let Some((w, id)) = best else { break };
-                debug_assert!(
-                    sections.last().is_none_or(|p| p.id < id),
-                    "each id is owned by one worker"
-                );
-                let run = match runner_up {
-                    None => heads[w].as_slice().len(),
-                    Some(r) => {
-                        let pending = heads[w].as_slice();
-                        let mut n = 1;
-                        while n < pending.len() && pending[n].id < r {
-                            n += 1;
-                        }
-                        n
-                    }
-                };
-                sections.extend(heads[w].by_ref().take(run));
-            }
-        }
-        assert_eq!(
-            sections.len(),
-            total,
-            "every assigned id was routed to exactly one worker"
-        );
-        all_sinks.sort_unstable_by_key(|&(lock, _)| lock);
-        for (_, shard) in all_sinks {
-            root.absorb(shard);
-        }
-        stats.peak_live_pairs = stats.peak_live_pairs.max(root.resident_entries());
-
-        // Drop sections that never closed and renumber densely, exactly as
-        // the sequential engine's compaction does.
-        if decoder.closed_global.iter().any(|&c| !c) {
-            let mut remap: Vec<Option<SectionId>> = Vec::with_capacity(total);
-            let mut kept = 0u32;
-            for &closed in &decoder.closed_global {
-                if closed {
-                    remap.push(Some(SectionId::new(kept)));
-                    kept += 1;
-                } else {
-                    remap.push(None);
-                }
-            }
-            sections.retain(|s| remap[s.id.index()].is_some());
-            for s in &mut sections {
-                s.id = remap[s.id.index()].expect("kept section has a mapping");
-            }
-            root.remap_sections(&remap);
-        }
-        root.seal(&sections);
-
-        Ok(StreamingSinkAnalysis {
-            sections,
-            breakdown,
-            sink: root,
-            stats,
-        })
+        Ok(finish_run(decoder, sink, results))
     }
 
     /// Convenience wrapper: streams an in-memory trace through a
@@ -2054,7 +2118,7 @@ mod tests {
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
-    use perfplay_trace::TraceMeta;
+    use perfplay_trace::{ThreadSpan, TimedEvent, TraceMeta};
 
     fn record(build: impl FnOnce(&mut ProgramBuilder)) -> Trace {
         let mut b = ProgramBuilder::new("pstream-test");
@@ -2065,6 +2129,9 @@ mod tests {
             .trace
     }
 
+    /// Every worker count pinned against the batch engine: the full
+    /// analysis, and the stream-level accounting against what the chunk
+    /// adapter actually delivers.
     fn assert_identical(
         trace: &Trace,
         config: DetectorConfig,
@@ -2072,30 +2139,27 @@ mod tests {
         workers: usize,
     ) {
         let batch = Detector::new(config).analyze(trace);
-        let sequential = StreamingDetector::new(config)
-            .analyze_trace(trace, chunk_events)
-            .unwrap();
-        let parallel = ParallelStreamingDetector::with_workers(config, workers)
+        let streamed = ParallelStreamingDetector::with_workers(config, workers)
             .analyze_trace(trace, chunk_events)
             .unwrap();
         let label = format!("chunk={chunk_events} workers={workers}");
-        assert_eq!(batch.sections, parallel.analysis.sections, "{label}");
-        assert_eq!(batch.ulcps, parallel.analysis.ulcps, "{label}");
-        assert_eq!(batch.edges, parallel.analysis.edges, "{label}");
-        assert_eq!(batch.breakdown, parallel.analysis.breakdown, "{label}");
-        // The stream-level accounting matches the sequential engine exactly
-        // (peaks are engine-specific, but what was consumed is not).
-        assert_eq!(sequential.stats.chunks, parallel.stats.chunks, "{label}");
-        assert_eq!(sequential.stats.events, parallel.stats.events, "{label}");
-        assert_eq!(
-            sequential.stats.sections, parallel.stats.sections,
-            "{label}"
-        );
-        assert_eq!(
-            sequential.stats.peak_chunk_events, parallel.stats.peak_chunk_events,
-            "{label}"
-        );
-        assert_eq!(sequential.stats.gaps, parallel.stats.gaps, "{label}");
+        assert_eq!(batch.sections, streamed.analysis.sections, "{label}");
+        assert_eq!(batch.ulcps, streamed.analysis.ulcps, "{label}");
+        assert_eq!(batch.edges, streamed.analysis.edges, "{label}");
+        assert_eq!(batch.breakdown, streamed.analysis.breakdown, "{label}");
+
+        let mut source = TraceChunks::new(trace, chunk_events);
+        let (mut chunks, mut peak_chunk) = (0usize, 0usize);
+        while let Some(chunk) = source.next_chunk().unwrap() {
+            chunks += 1;
+            peak_chunk = peak_chunk.max(chunk.num_events());
+        }
+        let stats = streamed.stats;
+        assert_eq!(stats.chunks, chunks, "{label}");
+        assert_eq!(stats.events, trace.num_events(), "{label}");
+        assert_eq!(stats.sections, batch.sections.len(), "{label}");
+        assert_eq!(stats.peak_chunk_events, peak_chunk, "{label}");
+        assert_eq!((stats.gaps, stats.events_lost), (0, 0), "{label}");
     }
 
     fn mixed_trace() -> Trace {
@@ -2134,9 +2198,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_batch_across_chunk_sizes_and_worker_counts() {
+    fn every_worker_count_matches_batch_across_chunk_sizes() {
         let trace = mixed_trace();
-        for chunk_events in [1, 3, 16, 100_000] {
+        for chunk_events in [1, 2, 3, 7, 16, 64, 100_000] {
             for workers in [1, 2, 3, 5] {
                 assert_identical(&trace, DetectorConfig::default(), chunk_events, workers);
             }
@@ -2144,7 +2208,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_batch_with_scan_cap_and_ablation() {
+    fn every_worker_count_matches_batch_with_scan_cap_and_ablation() {
         let trace = mixed_trace();
         for config in [
             DetectorConfig {
@@ -2162,7 +2226,7 @@ mod tests {
             },
         ] {
             for chunk_events in [1, 5, 33] {
-                for workers in [2, 3] {
+                for workers in [1, 2, 3] {
                     assert_identical(&trace, config, chunk_events, workers);
                 }
             }
@@ -2170,10 +2234,50 @@ mod tests {
     }
 
     #[test]
-    fn benign_pairs_survive_parallel_state_reconstruction() {
+    fn scan_cap_cutoffs_match_batch_at_every_chunk_size() {
+        // One reader against a run of later sections on another thread: the
+        // search from the first section is cut by the cap, and sweeping the
+        // chunk size moves that cutoff across every chunk boundary.
+        let trace = record(|b| {
+            let lock = b.lock("m");
+            let x = b.shared("x", 0);
+            let site = b.site("cap.c", "f", 1);
+            b.thread("t0", |t| {
+                t.locked(lock, site, |cs| {
+                    cs.read(x);
+                });
+                t.compute_us(100);
+            });
+            b.thread("t1", |t| {
+                t.compute_us(10);
+                t.loop_n(5, |l| {
+                    l.locked(lock, site, |cs| {
+                        cs.read(x);
+                    });
+                    l.compute_ns(30);
+                });
+            });
+        });
+        for cap in 1..=4usize {
+            let config = DetectorConfig {
+                max_scan_per_thread: Some(cap),
+                ..DetectorConfig::default()
+            };
+            let batch = Detector::new(config).analyze(&trace);
+            assert_eq!(batch.ulcps.len(), cap, "the cap bounds the one search");
+            for chunk_events in 1..=trace.num_events() {
+                for workers in [1, 2] {
+                    assert_identical(&trace, config, chunk_events, workers);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn benign_pairs_survive_streaming_state_reconstruction() {
         // The benign check queries shadow memory at the first section's
-        // enter time — long before the pair is classified — through each
-        // worker's replicated slot-indexed history.
+        // enter time — long before the pair is classified — through the
+        // pruned, slot-indexed history.
         let trace = record(|b| {
             let lock = b.lock("m");
             let flag = b.shared("done", 0);
@@ -2189,29 +2293,37 @@ mod tests {
             }
         });
         for chunk_events in [1, 2, 8] {
-            assert_identical(&trace, DetectorConfig::default(), chunk_events, 2);
+            for workers in [1, 2] {
+                assert_identical(&trace, DetectorConfig::default(), chunk_events, workers);
+            }
         }
-        let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
+        let inline = StreamingDetector::default()
             .analyze_trace(&trace, 2)
             .unwrap();
-        assert_eq!(parallel.analysis.breakdown.benign, 1);
+        assert_eq!(inline.analysis.breakdown.benign, 1);
     }
 
     #[test]
     fn site_aggregator_shards_merge_identically() {
-        // fork-of-fork: the engine forks per-lock lanes from per-worker
-        // prototypes that were themselves forked from the root.
+        // Inline the lanes fork from the caller's sink; threaded they fork
+        // from per-worker prototypes that were themselves forked (fork of a
+        // fork). Both must fold to the batch engine's table.
         let trace = mixed_trace();
         let config = DetectorConfig::default();
-        let sequential = StreamingDetector::new(config)
+        let batch =
+            Detector::new(config).analyze_with(&trace, SiteAggregator::new(BodyOverlapGain));
+        let inline = StreamingDetector::new(config)
             .analyze_trace_with(&trace, 16, SiteAggregator::new(BodyOverlapGain))
             .unwrap();
-        let parallel = ParallelStreamingDetector::with_workers(config, 3)
+        let threaded = ParallelStreamingDetector::with_workers(config, 3)
             .analyze_trace_with(&trace, 16, SiteAggregator::new(BodyOverlapGain))
             .unwrap();
-        assert_eq!(sequential.sink.finish(), parallel.sink.finish());
-        assert_eq!(sequential.breakdown, parallel.breakdown);
-        assert_eq!(sequential.sections, parallel.sections);
+        let expected = batch.sink.finish();
+        for (label, run) in [("inline", inline), ("threaded", threaded)] {
+            assert_eq!(run.breakdown, batch.breakdown, "{label}");
+            assert_eq!(run.sections, batch.sections, "{label}");
+            assert_eq!(run.sink.finish(), expected, "{label}");
+        }
     }
 
     #[test]
@@ -2236,20 +2348,46 @@ mod tests {
             max_scan_per_thread: Some(2),
             ..DetectorConfig::default()
         };
-        let parallel = ParallelStreamingDetector::with_workers(config, 2)
-            .analyze_trace(&trace, 16)
+        for workers in [1, 2] {
+            let streamed = ParallelStreamingDetector::with_workers(config, workers)
+                .analyze_trace(&trace, 16)
+                .unwrap();
+            let total = streamed.analysis.sections.len();
+            assert_eq!(total, 120);
+            assert!(
+                streamed.stats.peak_live_sections < total / 2,
+                "peak live {} should be far below {total}",
+                streamed.stats.peak_live_sections
+            );
+            assert!(streamed.stats.retired_before_end > 0);
+            assert_eq!(streamed.stats.events, trace.num_events());
+            assert_eq!(streamed.stats.sections, total);
+            assert_identical(&trace, config, 16, workers);
+        }
+    }
+
+    #[test]
+    fn history_prunes_old_writes() {
+        let trace = record(|b| {
+            let lock = b.lock("m");
+            let x = b.shared("x", 0);
+            let site = b.site("w.c", "writer", 1);
+            b.thread("t0", |t| {
+                t.loop_n(50, |l| {
+                    l.locked(lock, site, |cs| {
+                        cs.write_add(x, 1);
+                    });
+                    l.compute_ns(40);
+                });
+            });
+        });
+        let streamed = StreamingDetector::default()
+            .analyze_trace(&trace, 8)
             .unwrap();
-        let total = parallel.analysis.sections.len();
-        assert_eq!(total, 120);
-        assert!(
-            parallel.stats.peak_live_sections < total / 2,
-            "peak live {} should be far below {total}",
-            parallel.stats.peak_live_sections
-        );
-        assert!(parallel.stats.retired_before_end > 0);
-        assert_eq!(parallel.stats.events, trace.num_events());
-        assert_eq!(parallel.stats.sections, total);
-        assert_identical(&trace, config, 16, 2);
+        // Single thread: no pairs, sections retire immediately, and the
+        // write log never accumulates the full 50-write history.
+        assert!(streamed.stats.peak_history_entries < 20);
+        assert!(streamed.analysis.ulcps.is_empty());
     }
 
     #[test]
@@ -2267,17 +2405,252 @@ mod tests {
                 });
             });
         });
-        assert_identical(&trace, DetectorConfig::default(), 8, 3);
-        let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 3)
-            .analyze_trace(&trace, 8)
-            .unwrap();
-        assert!(parallel.analysis.ulcps.is_empty());
-        assert_eq!(parallel.analysis.sections.len(), 20);
+        for workers in [1, 3] {
+            assert_identical(&trace, DetectorConfig::default(), 8, workers);
+            let streamed =
+                ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+                    .analyze_trace(&trace, 8)
+                    .unwrap();
+            assert!(streamed.analysis.ulcps.is_empty());
+            assert_eq!(streamed.analysis.sections.len(), 20);
+        }
     }
 
-    /// Source adapter yielding the first chunk twice: base indices no longer
-    /// line up, which must be rejected exactly as the sequential engine
-    /// rejects it.
+    #[test]
+    fn never_closed_sections_are_compacted_away() {
+        // Cut thread 0 off mid-section: its last acquire never releases, so
+        // the engine assigns it an id, pairs around it, and must drop it and
+        // renumber every later section exactly as the batch extractor (which
+        // only emits completed sections) numbers them.
+        let mut trace = mixed_trace();
+        let events = &mut trace.threads[0].events;
+        let last_release = events
+            .iter()
+            .rposition(|e| matches!(e.event, Event::LockRelease { .. }))
+            .unwrap();
+        let mid_acquire = events[..last_release]
+            .iter()
+            .rposition(|e| matches!(e.event, Event::LockAcquire { .. }))
+            .unwrap();
+        events.truncate(mid_acquire + 1);
+        let batch = Detector::default().analyze(&trace);
+        assert!(
+            batch.breakdown.lock_acquisitions > batch.sections.len(),
+            "an acquire is left unreleased"
+        );
+        for chunk_events in [1, 4, 16, 100_000] {
+            for workers in [1, 2] {
+                assert_identical(&trace, DetectorConfig::default(), chunk_events, workers);
+            }
+        }
+    }
+
+    /// An in-memory source replaying a fixed item list, for hand-built
+    /// streams that break (or stretch) the chunk contract.
+    struct Items {
+        meta: TraceMeta,
+        num_threads: usize,
+        items: std::vec::IntoIter<StreamItem>,
+    }
+
+    impl Items {
+        fn new(num_threads: usize, items: Vec<StreamItem>) -> Self {
+            Items {
+                meta: TraceMeta::default(),
+                num_threads,
+                items: items.into_iter(),
+            }
+        }
+    }
+
+    impl EventSource for Items {
+        fn meta(&self) -> &TraceMeta {
+            &self.meta
+        }
+
+        fn num_threads(&self) -> usize {
+            self.num_threads
+        }
+
+        fn next_chunk(&mut self) -> Result<Option<TraceChunk>, StreamError> {
+            loop {
+                match self.items.next() {
+                    Some(StreamItem::Chunk(chunk)) => return Ok(Some(chunk)),
+                    Some(StreamItem::Gap(_)) => continue,
+                    None => return Ok(None),
+                }
+            }
+        }
+
+        fn next_item(&mut self) -> Result<Option<StreamItem>, StreamError> {
+            Ok(self.items.next())
+        }
+    }
+
+    /// `(thread, base index, [(timestamp in ns, event)])` of one span.
+    type SpanSpec = (u32, usize, Vec<(u64, Event)>);
+
+    fn chunk(seq: u64, window_end: u64, spans: Vec<SpanSpec>) -> StreamItem {
+        StreamItem::Chunk(TraceChunk {
+            seq,
+            window_end: Time::from_nanos(window_end),
+            spans: spans
+                .into_iter()
+                .map(|(thread, base_index, events)| ThreadSpan {
+                    thread: ThreadId::new(thread),
+                    base_index,
+                    events: events
+                        .into_iter()
+                        .map(|(at, event)| TimedEvent::new(Time::from_nanos(at), event))
+                        .collect(),
+                })
+                .collect(),
+            grants: Vec::new(),
+        })
+    }
+
+    fn gap(events_lost: u64) -> StreamItem {
+        StreamItem::Gap(StreamGap {
+            chunk_index: 1,
+            line: 3,
+            offset: 0,
+            events_lost,
+            cause: Box::new(StreamError::Format("lost record".into())),
+        })
+    }
+
+    fn compute(ns: u64) -> Event {
+        Event::Compute {
+            cost: Time::from_nanos(ns),
+        }
+    }
+
+    /// Runs a hand-built stream through the inline and the threaded engine
+    /// and returns the (identical) outcome.
+    fn run_items(
+        num_threads: usize,
+        items: Vec<StreamItem>,
+    ) -> Result<StreamingAnalysis, StreamError> {
+        let inline =
+            StreamingDetector::default().analyze(&mut Items::new(num_threads, items.clone()));
+        let threaded = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
+            .analyze(&mut Items::new(num_threads, items));
+        match (&inline, &threaded) {
+            (Ok(a), Ok(b)) => assert_eq!(a.analysis, b.analysis),
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            _ => panic!("engines disagree: {inline:?} vs {threaded:?}"),
+        }
+        inline
+    }
+
+    #[test]
+    fn contract_violations_are_exact_error_values() {
+        let fmt = |m: &str| Err::<(), _>(StreamError::Format(m.into()));
+        let cases: Vec<(Vec<StreamItem>, Result<(), StreamError>)> = vec![
+            (
+                vec![chunk(
+                    0,
+                    10,
+                    vec![(1, 0, vec![(5, compute(1))]), (0, 0, vec![(5, compute(1))])],
+                )],
+                fmt("chunk 0 spans not in ascending thread order"),
+            ),
+            (
+                vec![chunk(0, 10, vec![(2, 0, vec![(5, compute(1))])])],
+                fmt("span for out-of-range thread T2"),
+            ),
+            (
+                vec![chunk(0, 10, vec![(0, 3, vec![(5, compute(1))])])],
+                fmt("non-contiguous span for T0: base 3 but 0 events seen"),
+            ),
+            (
+                vec![chunk(0, 10, vec![(0, 0, vec![(11, compute(1))])])],
+                fmt("event 0 of T0 at 11ns is outside chunk 0's window"),
+            ),
+            (
+                vec![
+                    chunk(0, 10, vec![(0, 0, vec![(5, compute(1))])]),
+                    chunk(1, 10, vec![(0, 1, vec![(10, compute(1))])]),
+                ],
+                fmt("chunk 1 window 10ns does not advance past 10ns"),
+            ),
+            (
+                vec![chunk(
+                    0,
+                    10,
+                    vec![(1, 0, vec![(6, compute(1)), (5, compute(1))])],
+                )],
+                Err(StreamError::Trace(TraceError::NonMonotonicTime {
+                    thread: ThreadId::new(1),
+                    event_index: 1,
+                })),
+            ),
+            (
+                vec![
+                    chunk(0, 10, vec![(0, 0, vec![(5, compute(1)), (6, compute(1))])]),
+                    gap(3),
+                    chunk(2, 30, vec![(0, 1, vec![(25, compute(1))])]),
+                ],
+                fmt("span for T0 rewinds across a gap: base 1 but 2 events seen"),
+            ),
+        ];
+        for (items, expected) in cases {
+            let got = run_items(2, items).map(|_| ());
+            assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn a_gap_allows_one_forward_jump_per_thread() {
+        let acquire = |l: u32| Event::LockAcquire {
+            lock: LockId::new(l),
+            site: CodeSiteId::new(0),
+        };
+        let release = |l: u32| Event::LockRelease {
+            lock: LockId::new(l),
+        };
+        // Thread 0 loses events 2..5 in the gap and resumes at index 5;
+        // thread 1 resumes contiguously. Strict checking is back after the
+        // jump: a second skip without a gap is an error.
+        let clean = vec![
+            chunk(
+                0,
+                10,
+                vec![
+                    (0, 0, vec![(2, acquire(0)), (3, release(0))]),
+                    (1, 0, vec![(4, acquire(0))]),
+                ],
+            ),
+            gap(3),
+            chunk(
+                2,
+                30,
+                vec![
+                    (0, 5, vec![(21, acquire(0)), (22, release(0))]),
+                    (1, 1, vec![(23, release(0))]),
+                ],
+            ),
+        ];
+        let streamed = run_items(2, clean.clone()).unwrap();
+        assert_eq!(streamed.stats.gaps, 1);
+        assert_eq!(streamed.stats.events_lost, 3);
+        assert_eq!(streamed.stats.events, 6);
+        assert_eq!(streamed.analysis.sections.len(), 3);
+        assert_eq!(
+            streamed.analysis.sections[2].acquire_index, 5,
+            "original numbering kept"
+        );
+
+        let mut skipped = clean;
+        skipped.push(chunk(3, 40, vec![(0, 9, vec![(35, compute(1))])]));
+        assert_eq!(
+            run_items(2, skipped).unwrap_err(),
+            StreamError::Format("non-contiguous span for T0: base 9 but 7 events seen".into())
+        );
+    }
+
+    /// Source adapter yielding the first chunk twice: its window no longer
+    /// advances, which must be rejected with the exact contract error.
     struct DupFirst<'a> {
         inner: TraceChunks<'a>,
         dup: Option<TraceChunk>,
@@ -2323,14 +2696,17 @@ mod tests {
     #[test]
     fn malformed_stream_is_rejected() {
         let trace = mixed_trace();
-        let sequential = StreamingDetector::default()
-            .analyze(&mut DupFirst::new(&trace, 8))
-            .unwrap_err();
-        let parallel = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
-            .analyze(&mut DupFirst::new(&trace, 8))
-            .unwrap_err();
-        assert_eq!(sequential, parallel);
-        assert!(matches!(parallel, StreamError::Format(_)));
+        let first = TraceChunks::new(&trace, 8).next_chunk().unwrap().unwrap();
+        let expected = StreamError::Format(format!(
+            "chunk {} window {} does not advance past {}",
+            first.seq, first.window_end, first.window_end
+        ));
+        for workers in [1, 2] {
+            let err = ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+                .analyze(&mut DupFirst::new(&trace, 8))
+                .unwrap_err();
+            assert_eq!(err, expected, "workers={workers}");
+        }
     }
 
     #[test]
@@ -2338,14 +2714,18 @@ mod tests {
         let mut trace = mixed_trace();
         let n = trace.threads[1].events.len();
         trace.threads[1].events[n - 2].at = Time::ZERO;
-        let err = ParallelStreamingDetector::with_workers(DetectorConfig::default(), 2)
-            .analyze_trace(&trace, 1_000_000)
-            .unwrap_err();
-        match err {
-            StreamError::Trace(TraceError::NonMonotonicTime { thread, .. }) => {
-                assert_eq!(thread, ThreadId::new(1));
-            }
-            other => panic!("expected NonMonotonicTime, got {other:?}"),
+        for workers in [1, 2] {
+            let err = ParallelStreamingDetector::with_workers(DetectorConfig::default(), workers)
+                .analyze_trace(&trace, 1_000_000)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                StreamError::Trace(TraceError::NonMonotonicTime {
+                    thread: ThreadId::new(1),
+                    event_index: n - 2,
+                }),
+                "workers={workers}"
+            );
         }
     }
 

@@ -1,9 +1,11 @@
 //! Sink-based pair emission: where detection output goes.
 //!
 //! Every detection engine in this crate — the batch [`Detector`] (sequential
-//! and `DetectorConfig::parallel`), the [`StreamingDetector`] and the naive
-//! [`reference_analyze`] — emits each classified pair through a [`UlcpSink`]
-//! instead of pushing into a hard-wired `Vec`. The sink decides what to keep:
+//! and `DetectorConfig::parallel`), the streaming engine (inline through
+//! [`StreamingDetector`], threaded through [`ParallelStreamingDetector`])
+//! and the naive [`reference_analyze`] — emits each classified pair through
+//! a [`UlcpSink`] instead of pushing into a hard-wired `Vec`. The sink
+//! decides what to keep:
 //!
 //! * [`CollectPairs`] materializes every [`Ulcp`] and [`CausalEdge`],
 //!   reproducing the historical [`UlcpAnalysis`] bit-for-bit. Memory is
@@ -15,14 +17,16 @@
 //!   memory O(code sites) regardless of how many dynamic pairs the scan
 //!   classifies.
 //!
-//! Emission order is engine-specific (the streaming engine emits in delivery
-//! order, the batch engines in canonical order); [`UlcpSink::seal`] runs once
+//! Emission order is engine-specific (the streaming engine emits each lock's
+//! pairs into its own forked lane in per-chunk sweep order, the batch
+//! engines in canonical order); [`UlcpSink::seal`] runs once
 //! at the end of every analysis so order-sensitive sinks can restore the
 //! canonical `(lock, first, second-thread, second)` order. Order-insensitive
 //! sinks (saturating-add folds are commutative and associative) ignore it.
 //!
 //! [`Detector`]: crate::Detector
 //! [`StreamingDetector`]: crate::StreamingDetector
+//! [`ParallelStreamingDetector`]: crate::ParallelStreamingDetector
 //! [`reference_analyze`]: crate::reference_analyze
 //! [`UlcpAnalysis`]: crate::UlcpAnalysis
 
@@ -50,9 +54,11 @@ pub struct SectionCtx<'a> {
 /// Engines call [`emit`](Self::emit) for every ULCP and
 /// [`emit_edge`](Self::emit_edge) for every causal edge (TLCP), then
 /// [`seal`](Self::seal) exactly once when the scan is complete. The parallel
-/// batch engine additionally builds one shard per lock with
-/// [`fork`](Self::fork) and merges them back — in ascending lock order, so
-/// the merged output is deterministic — with [`absorb`](Self::absorb).
+/// batch engine and the streaming engine (inline and threaded) additionally
+/// build one shard per lock with [`fork`](Self::fork) and merge them back —
+/// in ascending lock order, so the merged output is deterministic — with
+/// [`absorb`](Self::absorb). The sink passed to the inline streaming engine
+/// never leaves the calling thread and need not be `Send`.
 pub trait UlcpSink {
     /// Receives one unnecessary lock contention pair.
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>);

@@ -143,15 +143,18 @@ pub struct PipelineConfig {
     /// Schedule of the original-trace replay (the paper uses ELSC).
     pub original_schedule: ScheduleKind,
     /// When set, detection streams the trace chunk-by-chunk with this chunk
-    /// size (bounded pairing state); when `None`, the batch engine runs
-    /// (honouring [`DetectorConfig::parallel`]).
+    /// size (bounded pairing state) through the streaming engine, with the
+    /// worker count [`stream_workers`](Self::stream_workers) resolves; when
+    /// `None`, the batch engine runs (honouring
+    /// [`DetectorConfig::parallel`]).
     pub chunk_events: Option<usize>,
-    /// Worker count for streaming detection (only meaningful with
-    /// `chunk_events` set): `0` follows [`DetectorConfig::parallel`] (one
-    /// worker per available core when set, the sequential engine otherwise);
-    /// `1` forces the sequential engine; `n > 1` runs
-    /// [`ParallelStreamingDetector`] with `n` sharded per-lock workers.
-    /// Output is bit-identical either way.
+    /// Worker count for streaming detection (with `chunk_events` set, and
+    /// for [`analyze_chunk_files`]): `0` follows [`DetectorConfig::parallel`]
+    /// (one worker per available core when set, the inline engine
+    /// otherwise); `1` forces the inline engine — one worker on the calling
+    /// thread, no threads spawned; `n > 1` runs [`ParallelStreamingDetector`]
+    /// with `n` sharded per-lock worker threads. Output is bit-identical
+    /// either way.
     pub parallel_streams: usize,
     /// Decode-worker pool size for the pipelined chunk-file reader used
     /// when [`stream_workers`](Self::stream_workers) resolves to parallel
@@ -203,9 +206,9 @@ fn preflight_errors(report: perfplay_lint::LintReport) -> Option<Vec<Diagnostic>
 }
 
 impl PipelineConfig {
-    /// The resolved streaming worker count: `Some(n)` means parallel
-    /// streaming detection with `n` workers, `None` means the sequential
-    /// streaming engine.
+    /// The resolved streaming worker count: `Some(n)` means threaded
+    /// streaming detection with `n` workers, `None` means the inline engine
+    /// on the calling thread ([`StreamingDetector`]).
     pub fn stream_workers(&self) -> Option<usize> {
         match self.parallel_streams {
             0 => self.detector.parallel.then(|| {
@@ -484,9 +487,10 @@ impl ChunkBatchAnalysis {
 /// Runs detection-only analysis over on-disk chunk files and fuses the
 /// per-file aggregate tables into one ranked report — the batch sweep for
 /// traces that were spilled at record time and never loaded back into
-/// memory. Each file streams through [`StreamingDetector`] — or, with
-/// [`PipelineConfig::parallel_streams`] resolving to more than one worker,
-/// through [`ParallelStreamingDetector`] — under the given
+/// memory. Each file streams through the inline engine
+/// ([`StreamingDetector`]) — or, with [`PipelineConfig::parallel_streams`]
+/// resolving to more than one worker, through the threaded
+/// [`ParallelStreamingDetector`] behind a pipelined reader — under the given
 /// [`RecoveryPolicy`]; a file that still fails (or panics a detector stage)
 /// becomes one [`BatchItemError`] while the other files complete and fuse.
 pub fn analyze_chunk_files<P: AsRef<Path>>(
@@ -517,8 +521,8 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
         }
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let sink = PlanAggregator::new(BodyOverlapGain);
-            // The parallel detector gets the pipelined reader so framing,
-            // decode, and detection overlap; the sequential engine keeps the
+            // The threaded detector gets the pipelined reader so framing,
+            // decode, and detection overlap; the inline engine keeps the
             // single-threaded reader (pipeline hand-off buys nothing there).
             // Both pairings yield bit-identical streams and reports.
             let streamed = match config.stream_workers() {
@@ -643,18 +647,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_streaming_pipeline_matches_sequential_streaming_and_batch() {
+    fn every_streaming_worker_count_matches_the_batch_pipeline() {
         let trace = record(7);
         let batch = analyze_plan(&trace, &PipelineConfig::default()).unwrap();
-        let sequential = analyze_plan(
-            &trace,
-            &PipelineConfig {
-                chunk_events: Some(17),
-                ..PipelineConfig::default()
-            },
-        )
-        .unwrap();
-        for parallel_streams in [2, 3] {
+        for parallel_streams in [1, 2, 3] {
             let parallel = analyze_plan(
                 &trace,
                 &PipelineConfig {
@@ -665,12 +661,19 @@ mod tests {
             )
             .unwrap();
             assert_eq!(parallel.plan, batch.plan);
-            assert_eq!(parallel.report, sequential.report);
+            assert_eq!(parallel.report, batch.report);
             let stats = parallel.streaming.unwrap();
-            let seq_stats = sequential.streaming.unwrap();
-            assert_eq!(stats.chunks, seq_stats.chunks);
-            assert_eq!(stats.events, seq_stats.events);
-            assert_eq!(stats.sections, seq_stats.sections);
+            let mut chunks = perfplay_trace::TraceChunks::new(&trace, 17);
+            let mut delivered = 0;
+            while perfplay_trace::EventSource::next_chunk(&mut chunks)
+                .unwrap()
+                .is_some()
+            {
+                delivered += 1;
+            }
+            assert_eq!(stats.chunks, delivered);
+            assert_eq!(stats.events, trace.num_events());
+            assert_eq!(stats.sections, batch.plan.sections.len());
         }
         // `detector.parallel` with the default knob resolves to the parallel
         // path too (one worker per core), same output.
@@ -687,7 +690,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(flagged.plan, batch.plan);
-        assert_eq!(flagged.report, sequential.report);
+        assert_eq!(flagged.report, batch.report);
     }
 
     #[test]
@@ -697,14 +700,15 @@ mod tests {
         let dir = std::env::temp_dir().join("perfplay-parallel-sweep-test");
         std::fs::create_dir_all(&dir).unwrap();
         let mut paths = Vec::new();
+        let mut traces = Vec::new();
         for (i, seed) in [310u64, 311].iter().enumerate() {
             let trace = record(*seed);
             let path = dir.join(format!("psweep-{i}.chunks"));
             spill_trace(&trace, path.to_str().unwrap(), 16).unwrap();
             paths.push(path);
+            traces.push(trace);
         }
-        let sequential =
-            analyze_chunk_files(&paths, &PipelineConfig::default(), RecoveryPolicy::Fail);
+        let inline = analyze_chunk_files(&paths, &PipelineConfig::default(), RecoveryPolicy::Fail);
         let parallel = analyze_chunk_files(
             &paths,
             &PipelineConfig {
@@ -713,12 +717,19 @@ mod tests {
             },
             RecoveryPolicy::Fail,
         );
-        assert!(sequential.failures.is_empty() && parallel.failures.is_empty());
-        assert_eq!(sequential.fused_aggregates, parallel.fused_aggregates);
-        assert_eq!(sequential.fused_breakdown, parallel.fused_breakdown);
-        assert_eq!(sequential.recommendations, parallel.recommendations);
-        for (s, p) in sequential.per_stream.iter().zip(&parallel.per_stream) {
-            assert_eq!(s.plan, p.plan);
+        assert!(inline.failures.is_empty() && parallel.failures.is_empty());
+        assert_eq!(inline.fused_aggregates, parallel.fused_aggregates);
+        assert_eq!(inline.fused_breakdown, parallel.fused_breakdown);
+        assert_eq!(inline.recommendations, parallel.recommendations);
+        for ((s, p), trace) in inline
+            .per_stream
+            .iter()
+            .zip(&parallel.per_stream)
+            .zip(&traces)
+        {
+            let direct = Detector::default().plan(trace, BodyOverlapGain);
+            assert_eq!(s.plan, direct);
+            assert_eq!(p.plan, direct);
         }
         for p in &paths {
             let _ = std::fs::remove_file(p);

@@ -119,11 +119,11 @@ fn assert_aggregates_match<G: GainSource + Clone + Send + Sync>(
     let edge_total: u64 = aggregates.edges.iter().map(|row| row.edges).sum();
     prop_assert_eq!(edge_total as usize, analysis.breakdown.tlcp_edges);
 
-    // The streaming engines fold into the identical table, regardless of
-    // chunking (their emission order differs; saturating folds commute).
-    // The sink-generic sequential entry point requires `parallel` cleared
-    // (it returns `StreamError::Config` otherwise); the parallel engine is
-    // exercised regardless of the flag, which it ignores.
+    // The streaming engine, inline and threaded, folds into the identical
+    // table regardless of chunking (its emission order differs; saturating
+    // folds commute). The sink-generic inline entry point requires
+    // `parallel` cleared (it returns `StreamError::Config` otherwise); the
+    // threaded engine is exercised regardless of the flag, which it ignores.
     let sequential = DetectorConfig {
         parallel: false,
         ..config

@@ -70,6 +70,25 @@ const KIND_TRAILER: u8 = 2;
 /// drive an unbounded read or allocation.
 const MAX_PAYLOAD: usize = 1 << 28;
 
+/// Most elements a decoded count may reserve up front. A count is only
+/// checked against the remaining payload bytes, and a decoded element is
+/// far larger than its one-byte minimum encoding, so reserving the full
+/// count would let a CRC-valid frame under [`MAX_PAYLOAD`] claim gigabytes
+/// it never fills. Past this cap the `Vec` grows as elements actually
+/// decode. Large enough that the 4,096-event chunks the writers produce
+/// never reallocate.
+const MAX_PREALLOC: usize = 1 << 16;
+const _: () = assert!(
+    MAX_PREALLOC >= 1 << 16,
+    "writer-sized chunks never reallocate"
+);
+
+/// An empty `Vec` sized for a decoded element count, bounded by
+/// [`MAX_PREALLOC`].
+fn with_count_capacity<T>(count: usize) -> Vec<T> {
+    Vec::with_capacity(count.min(MAX_PREALLOC))
+}
+
 /// Returns the 8-byte file prelude for the current format version.
 pub fn file_prelude() -> [u8; PRELUDE_LEN] {
     let mut p = [0u8; PRELUDE_LEN];
@@ -327,8 +346,8 @@ impl<'a> Cur<'a> {
     }
 
     /// Reads an element count about to drive a `Vec` reservation; it must be
-    /// backed by at least one payload byte per element, or a corrupt count
-    /// could allocate unboundedly.
+    /// backed by at least one payload byte per element. The reservation
+    /// itself is further capped by [`with_count_capacity`].
     fn counted(&mut self, what: &str) -> Result<usize, String> {
         let count = self.usize()?;
         if count > self.buf.len().saturating_sub(self.pos) {
@@ -547,12 +566,12 @@ fn decode_chunk(payload: &[u8]) -> Result<TraceChunk, String> {
     let seq = cur.varint()?;
     let window_end = cur.time()?;
     let span_count = cur.counted("span")?;
-    let mut spans = Vec::with_capacity(span_count);
+    let mut spans = with_count_capacity(span_count);
     for _ in 0..span_count {
         let thread = ThreadId::new(cur.u32()?);
         let base_index = cur.usize()?;
         let event_count = cur.counted("event")?;
-        let mut events = Vec::with_capacity(event_count);
+        let mut events = with_count_capacity(event_count);
         for _ in 0..event_count {
             events.push(decode_event(&mut cur)?);
         }
@@ -563,7 +582,7 @@ fn decode_chunk(payload: &[u8]) -> Result<TraceChunk, String> {
         });
     }
     let grant_count = cur.counted("grant")?;
-    let mut grants = Vec::with_capacity(grant_count);
+    let mut grants = with_count_capacity(grant_count);
     for _ in 0..grant_count {
         grants.push(LockGrant {
             seq: cur.varint()?,
@@ -596,7 +615,7 @@ fn decode_trailer(payload: &[u8]) -> Result<ChunkFileTrailer, String> {
     let mut cur = Cur::new(payload);
     let total_time = cur.time()?;
     let count = cur.counted("finish-time")?;
-    let mut finish_times = Vec::with_capacity(count);
+    let mut finish_times = with_count_capacity(count);
     for _ in 0..count {
         finish_times.push(cur.time()?);
     }
@@ -1028,6 +1047,35 @@ mod tests {
     fn crc32_matches_the_reference_vector() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn hostile_counts_fail_without_reserving_their_claim() {
+        // Each count claims one element per remaining payload byte — the
+        // most the byte check admits — over a payload of zeros, so the
+        // decode must run out of bytes (or fail validation) long before it
+        // could fill a full-count reservation.
+        assert!(with_count_capacity::<TimedEvent>(usize::MAX).capacity() < MAX_PREALLOC * 2);
+        let filler = 1usize << 20;
+        let prefixes: [&[u64]; 3] = [
+            &[0, 0],          // seq, window; span count follows
+            &[0, 0, 1, 0, 0], // one span of thread 0 at base 0; event count follows
+            &[0, 0, 0],       // no spans; grant count follows
+        ];
+        for prefix in prefixes {
+            let mut payload = Vec::new();
+            for &v in prefix {
+                put_varint(&mut payload, v);
+            }
+            put_varint(&mut payload, filler as u64);
+            payload.resize(payload.len() + filler, 0);
+            assert!(decode_chunk(&payload).is_err(), "prefix {prefix:?}");
+        }
+        let mut trailer = Vec::new();
+        put_varint(&mut trailer, 0);
+        put_varint(&mut trailer, filler as u64);
+        trailer.resize(trailer.len() + filler / 2, 0);
+        assert!(decode_trailer(&trailer).is_err());
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! The pinned invariant: **no corrupted, truncated or perturbed input makes
 //! the ingestion pipeline panic** — every run ends in a report, a
 //! gap-annotated report, or a structured [`StreamError`], and identical
-//! inputs end identically (the fault layer is fully seeded).
+//! inputs end identically (the fault layer is fully seeded). Every run that
+//! does end in a report is also checked against the reference engine over
+//! exactly the events that survived.
+
+mod common;
 
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -108,41 +112,87 @@ fn corpus() -> &'static Corpus {
     })
 }
 
-/// Ingests one chunk file under `catch_unwind` and reduces the ending to a
-/// comparable string: `report …` / `gap-report …` / `error …` / `panic`.
-/// Equal strings mean bit-identical analysis content. `workers == 0` runs
-/// the sequential streaming engine; otherwise the sharded-parallel one.
-fn run_file(path: &Path, policy: RecoveryPolicy, workers: usize) -> String {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
+/// Ingests one chunk file under `catch_unwind`. `workers == 0` runs the
+/// inline engine through [`StreamingDetector`]; otherwise
+/// [`ParallelStreamingDetector`] with that many workers. The outer `Err` is
+/// a panic.
+fn ingest(
+    path: &Path,
+    policy: RecoveryPolicy,
+    workers: usize,
+) -> std::thread::Result<Result<StreamingAnalysis, StreamError>> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = ChunkFileReader::with_policy(path, policy)?;
-        let streamed = if workers == 0 {
-            StreamingDetector::new(config()).analyze(&mut reader)?
+        if workers == 0 {
+            StreamingDetector::new(config()).analyze(&mut reader)
         } else {
-            ParallelStreamingDetector::with_workers(config(), workers).analyze(&mut reader)?
-        };
-        Ok(format!(
-            "events={} gaps={} lost={} ulcps={} edges={} {:?}",
-            streamed.stats.events,
-            streamed.stats.gaps,
-            streamed.stats.events_lost,
-            streamed.analysis.ulcps.len(),
-            streamed.analysis.edges.len(),
-            streamed.analysis.breakdown,
-        ))
-    }));
+            ParallelStreamingDetector::with_workers(config(), workers).analyze(&mut reader)
+        }
+    }))
+}
+
+/// Reduces one ending to a comparable string: `report …` / `gap-report …` /
+/// `error …` / `panic`.
+fn describe(outcome: &std::thread::Result<Result<StreamingAnalysis, StreamError>>) -> String {
     match outcome {
         Err(_) => "panic".to_string(),
-        Ok(Ok(s)) if s.contains("gaps=0") => format!("report {s}"),
-        Ok(Ok(s)) => format!("gap-report {s}"),
+        Ok(Ok(streamed)) => {
+            let s = format!(
+                "events={} gaps={} lost={} ulcps={} edges={} {:?}",
+                streamed.stats.events,
+                streamed.stats.gaps,
+                streamed.stats.events_lost,
+                streamed.analysis.ulcps.len(),
+                streamed.analysis.edges.len(),
+                streamed.analysis.breakdown,
+            );
+            if streamed.stats.is_gapped() {
+                format!("gap-report {s}")
+            } else {
+                format!("report {s}")
+            }
+        }
         Ok(Err(e)) => format!("error {e}"),
     }
 }
 
+/// [`ingest`] reduced by [`describe`]. Equal strings mean bit-identical
+/// analysis content.
+fn run_file(path: &Path, policy: RecoveryPolicy, workers: usize) -> String {
+    describe(&ingest(path, policy, workers))
+}
+
+/// Checks a finished run against the reference engine over exactly the
+/// events the same reader delivers: full analysis, gap count, loss and
+/// event accounting. Error and panic endings have no reference and pass.
+fn assert_matches_survivors(
+    path: &Path,
+    policy: RecoveryPolicy,
+    outcome: &std::thread::Result<Result<StreamingAnalysis, StreamError>>,
+    label: &str,
+) {
+    let Ok(Ok(streamed)) = outcome else { return };
+    let mut reader = ChunkFileReader::with_policy(path, policy).unwrap();
+    let survivors = common::Survivors::collect(&mut reader).unwrap();
+    assert_eq!(
+        streamed.analysis,
+        survivors.reference(config()),
+        "{label}: analysis diverged from the reference over the surviving events"
+    );
+    assert_eq!(streamed.stats.gaps, survivors.gaps, "{label}: gaps");
+    assert_eq!(
+        streamed.stats.events_lost, survivors.events_lost,
+        "{label}: loss"
+    );
+    assert_eq!(streamed.stats.events, survivors.events(), "{label}: events");
+}
+
 /// The full chaos matrix: every fault kind realized on disk **in both
-/// formats**, ingested under every recovery policy by both streaming
-/// engines, twice. Nothing panics, reruns are identical, and the
-/// sharded-parallel engine ends every cell — report, gap-report or
-/// structured error — exactly like the sequential one.
+/// formats**, ingested under every recovery policy inline (twice) and
+/// threaded. Nothing panics, reruns are identical, every report matches the
+/// reference engine over the surviving events, and the threaded engine ends
+/// every cell — report, gap-report or structured error — exactly like the
+/// inline one.
 ///
 /// Outcomes are *not* asserted equal across formats: a bit flip lands on
 /// different bytes in different encodings, so its detectability legitimately
@@ -161,10 +211,17 @@ fn chaos_matrix_never_panics_and_is_deterministic() {
                 ));
                 let fault = corrupt_chunk_file(clean, &dst, kind, seed).unwrap();
                 for policy in POLICIES {
-                    let first = run_file(&dst, policy, 0);
+                    let outcome = ingest(&dst, policy, 0);
+                    let first = describe(&outcome);
                     assert!(
                         first != "panic",
                         "{ext} {kind} seed {seed} under {policy:?} panicked ({fault})"
+                    );
+                    assert_matches_survivors(
+                        &dst,
+                        policy,
+                        &outcome,
+                        &format!("{ext} {kind} seed {seed} under {policy:?} ({fault})"),
                     );
                     let second = run_file(&dst, policy, 0);
                     assert_eq!(
@@ -174,8 +231,8 @@ fn chaos_matrix_never_panics_and_is_deterministic() {
                     let parallel = run_file(&dst, policy, 2);
                     assert_eq!(
                         first, parallel,
-                        "{ext} {kind} seed {seed} under {policy:?}: parallel streaming \
-                         diverged from sequential ({fault})"
+                        "{ext} {kind} seed {seed} under {policy:?}: threaded streaming \
+                         diverged from inline ({fault})"
                     );
                 }
                 std::fs::remove_file(&dst).ok();
@@ -185,19 +242,27 @@ fn chaos_matrix_never_panics_and_is_deterministic() {
 }
 
 /// The same matrix applied in flight: a seeded [`FaultInjector`] between the
-/// file reader and the detector. Nothing panics, reruns are identical.
+/// file reader and the detector. Nothing panics, reruns are identical, and
+/// every run that ends in a report matches the reference engine over
+/// exactly the chunks the injector let through.
 #[test]
 fn in_flight_faults_never_panic_and_are_deterministic() {
     let corpus = corpus();
     for kind in FaultKind::ALL.into_iter().filter(|k| k.stream_applicable()) {
         for seed in [1u64, 7, 42] {
             let plan = FaultPlan::seeded(seed, kind, corpus.chunks.len() as u64);
+            let injected =
+                || FaultInjector::new(ChunkFileReader::open(&corpus.path).unwrap(), plan);
             let run = || {
                 let outcome =
                     std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
-                        let reader = ChunkFileReader::open(&corpus.path)?;
-                        let mut source = FaultInjector::new(reader, plan);
-                        let streamed = StreamingDetector::new(config()).analyze(&mut source)?;
+                        let streamed = StreamingDetector::new(config()).analyze(&mut injected())?;
+                        let survivors = common::Survivors::collect(&mut injected())?;
+                        assert_eq!(
+                            streamed.analysis,
+                            survivors.reference(config()),
+                            "in-flight {kind} seed {seed}: diverged from the reference"
+                        );
                         Ok((streamed.analysis.breakdown, streamed.stats.events))
                     }));
                 match outcome {
@@ -576,6 +641,128 @@ fn pbin_single_bit_flips_are_contained_at_every_byte_offset() {
                 "flip at {pos} must be rejected under Fail, got {fail}"
             );
         }
+    }
+    std::fs::remove_file(&dst).ok();
+}
+
+/// SplitMix64: a seeded stream of test choices.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform-enough draw from `lo..hi`.
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo)
+    }
+}
+
+/// LEB128, as the PBIN payload encodes every integer.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+/// Hostile-but-honest PBIN frames: the frame CRC is valid, so only payload
+/// decoding can catch them, and each claims an adversarial element count —
+/// span, event or grant counts of a chunk, or the finish-time count of the
+/// trailer — up to the most the remaining payload bytes admit, over seeded
+/// filler. Decoding must fail without reserving what the count claims; the
+/// frame then yields a located error under `Fail` and a gap under
+/// `SkipChunk` (which still matches the reference over what survived), and
+/// nothing panics.
+#[test]
+fn pbin_hostile_counts_are_contained() {
+    let sweep = sweep_corpus();
+    let last = sweep.extents.len() - 1;
+    let dst =
+        std::env::temp_dir().join(format!("perfplay-pbin-hostile-{}.pbin", std::process::id()));
+    for seed in 0u64..12 {
+        let mut rng = SplitMix(seed);
+        // Victim: a chunk frame (records 1..last) or the trailer (last).
+        let victim = if seed % 4 == 3 {
+            last
+        } else {
+            rng.range(1, last as u64) as usize
+        };
+        // Only the header's extent absorbs the 8-byte prelude, so every
+        // later extent starts exactly at its frame marker — the same four
+        // bytes the header frame opens with after the prelude.
+        let (frame_start, len) = sweep.extents[victim];
+        let marker_and_kind = &sweep.bytes[frame_start..frame_start + 5];
+        assert_eq!(marker_and_kind[..4], sweep.bytes[8..12], "frame marker");
+
+        let filler = rng.range(1 << 12, 1 << 18) as usize;
+        let claim = match rng.range(0, 4) {
+            0 => filler as u64,
+            1 => filler as u64 - 1,
+            2 => filler as u64 / 2 + 1,
+            _ => u64::from(u32::MAX) + rng.range(0, 1_000),
+        };
+        let mut payload = Vec::new();
+        let field = if victim == last {
+            put_varint(&mut payload, rng.range(0, 1_000_000)); // total time
+            "finish-time"
+        } else {
+            put_varint(&mut payload, rng.range(0, 64)); // seq
+            put_varint(&mut payload, rng.range(0, 1_000_000)); // window end
+            match seed % 3 {
+                0 => "span",
+                1 => {
+                    put_varint(&mut payload, 1); // one span...
+                    put_varint(&mut payload, 0); // ...of thread 0...
+                    put_varint(&mut payload, 0); // ...at base 0
+                    "event"
+                }
+                _ => {
+                    put_varint(&mut payload, 0); // no spans
+                    "grant"
+                }
+            }
+        };
+        put_varint(&mut payload, claim);
+        payload.extend((0..filler).map(|_| rng.next() as u8));
+
+        let mut frame = marker_and_kind.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        let crc = perfplay_trace::pbin::crc32(&frame[4..]);
+        frame.extend_from_slice(&crc.to_le_bytes());
+
+        let mut bytes = sweep.bytes[..frame_start].to_vec();
+        bytes.extend_from_slice(&frame);
+        bytes.extend_from_slice(&sweep.bytes[frame_start + len..]);
+        std::fs::write(&dst, &bytes).unwrap();
+        let label = format!("seed {seed}: {field} count {claim} over {filler} bytes");
+
+        match ingest(&dst, RecoveryPolicy::Fail, 0) {
+            Err(_) => panic!("{label} panicked under Fail"),
+            Ok(Ok(_)) => panic!("{label} analyzed cleanly under Fail"),
+            Ok(Err(e)) => assert!(
+                matches!(e, StreamError::At { .. }),
+                "{label}: expected a located error, got {e:?}"
+            ),
+        }
+        let skip = ingest(&dst, RecoveryPolicy::SkipChunk, 0);
+        assert!(
+            describe(&skip).starts_with("gap-report"),
+            "{label} must become a gap under SkipChunk, got {}",
+            describe(&skip)
+        );
+        assert_matches_survivors(&dst, RecoveryPolicy::SkipChunk, &skip, &label);
     }
     std::fs::remove_file(&dst).ok();
 }

@@ -96,8 +96,9 @@ fn describe(streamed: &StreamingAnalysis, gaps: &[perfplay_trace::StreamGap], lo
     )
 }
 
-/// Drives the **sequential** file path under `catch_unwind` and reduces the
-/// ending to a comparable string.
+/// Drives the **sequential** file path (`ChunkFileReader` into the inline
+/// engine) under `catch_unwind` and reduces the ending to a comparable
+/// string.
 fn run_sequential(path: &Path, policy: RecoveryPolicy) -> String {
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<_, StreamError> {
         let mut reader = ChunkFileReader::with_policy(path, policy)?;
@@ -112,8 +113,8 @@ fn run_sequential(path: &Path, policy: RecoveryPolicy) -> String {
 }
 
 /// Drives the **pipelined** file path: `decode_workers` sizes the decode
-/// pool, `detect_workers == 0` keeps the sequential detector (isolating the
-/// reader comparison), otherwise the sharded-parallel detector runs too.
+/// pool, `detect_workers == 0` keeps the inline detector (isolating the
+/// reader comparison), otherwise the threaded detector runs too.
 fn run_pipelined(
     path: &Path,
     policy: RecoveryPolicy,
@@ -138,15 +139,13 @@ fn run_pipelined(
 }
 
 /// Clean corpus, both formats: the pipelined reader (every decode-pool
-/// size, with both detectors) ends exactly like the sequential path, and
-/// both reproduce the in-memory parallel analysis.
+/// size, with both detector modes) ends exactly like the sequential path,
+/// and both reproduce the in-memory batch analysis.
 #[test]
 fn pipelined_equals_sequential_equals_in_memory_on_clean_corpus() {
     let corpus = corpus();
-    let in_memory = ParallelStreamingDetector::with_workers(config(), 2)
-        .analyze_trace(&corpus.trace, CORPUS_CHUNK)
-        .unwrap();
-    let in_memory_analysis = format!("{:?}", in_memory.analysis);
+    let in_memory = Detector::new(config()).analyze(&corpus.trace);
+    let in_memory_analysis = format!("{in_memory:?}");
     for (ext, path) in corpus.files() {
         let sequential = run_sequential(path, RecoveryPolicy::Fail);
         assert!(
@@ -297,9 +296,10 @@ fn truncation_at_every_byte_matches_sequential_framing() {
     }
 }
 
-/// `analyze_chunk_files` with pipelined parallel streaming fuses exactly
-/// like the default sequential sweep, and quarantines a corrupt file with
-/// the identical per-file error.
+/// `analyze_chunk_files` with pipelined threaded streaming fuses exactly
+/// like the default inline sweep — and both per-file plans equal the batch
+/// engine's — and quarantines a corrupt file with the identical per-file
+/// error.
 #[test]
 fn chunk_file_batch_is_identical_with_pipelined_streams() {
     let dir = std::env::temp_dir().join(format!("perfplay-pingest-batch-{}", std::process::id()));
@@ -311,10 +311,13 @@ fn chunk_file_batch_is_identical_with_pipelined_streams() {
         sections_per_thread: 5,
     };
     let mut paths = Vec::new();
+    let mut traces = Vec::new();
     for (i, seed) in [71u64, 72].iter().enumerate() {
         let path = dir.join(format!("batch-{i}.pbin"));
-        spill_trace(&record(*seed, &gen), &path, 12).unwrap();
+        let trace = record(*seed, &gen);
+        spill_trace(&trace, &path, 12).unwrap();
         paths.push(path);
+        traces.push(trace);
     }
     let pipelined_config = PipelineConfig {
         parallel_streams: 2,
@@ -327,9 +330,17 @@ fn chunk_file_batch_is_identical_with_pipelined_streams() {
     assert_eq!(sequential.fused_aggregates, pipelined.fused_aggregates);
     assert_eq!(sequential.fused_breakdown, pipelined.fused_breakdown);
     assert_eq!(sequential.recommendations, pipelined.recommendations);
-    for (s, p) in sequential.per_stream.iter().zip(&pipelined.per_stream) {
-        assert_eq!(s.plan, p.plan);
-        assert_eq!(s.stats.events, p.stats.events);
+    for ((s, p), trace) in sequential
+        .per_stream
+        .iter()
+        .zip(&pipelined.per_stream)
+        .zip(&traces)
+    {
+        let batch = Detector::new(DetectorConfig::default()).plan(trace, BodyOverlapGain);
+        assert_eq!(s.plan, batch);
+        assert_eq!(p.plan, batch);
+        assert_eq!(s.stats.events, trace.num_events());
+        assert_eq!(p.stats.events, trace.num_events());
     }
 
     // Quarantine parity: wreck the second file beyond recovery.
@@ -356,7 +367,7 @@ proptest! {
     /// Randomized equivalence: any recorded workload, spilled at any chunk
     /// granularity and re-ingested with any decode-pool size, produces the
     /// same analysis through the pipelined file path, the sequential file
-    /// path, and in-memory parallel detection — in both formats.
+    /// path, and the in-memory batch engine — in both formats.
     #[test]
     fn pipelined_file_equals_sequential_file_equals_in_memory(
         seed in 0u64..500,
@@ -375,16 +386,14 @@ proptest! {
         let path = temp_path(&format!("prop-{seed}-{chunk_events}-{decode_workers}"), ext);
         spill_trace(&trace, &path, chunk_events).unwrap();
 
-        let in_memory = ParallelStreamingDetector::with_workers(config(), 2)
-            .analyze_trace(&trace, chunk_events)
-            .unwrap();
+        let in_memory = Detector::new(config()).analyze(&trace);
         let sequential = run_sequential(&path, RecoveryPolicy::Fail);
         let pipelined = run_pipelined(&path, RecoveryPolicy::Fail, decode_workers, 2);
         std::fs::remove_file(&path).ok();
 
         prop_assert!(sequential.starts_with("ok "), "sequential failed: {sequential}");
         prop_assert_eq!(&sequential, &pipelined);
-        let in_memory_analysis = format!("analysis={:?}", in_memory.analysis);
+        let in_memory_analysis = format!("analysis={in_memory:?}");
         prop_assert!(
             sequential.ends_with(&in_memory_analysis),
             "file analysis diverged from in-memory (seed {}, chunk {})",

@@ -2,14 +2,16 @@
 //! materializing one — `Transformer::transform_from_plan` over a
 //! `DetectionPlan` equals `Transformer::transform` over the full
 //! `UlcpAnalysis` — across random workloads, detector configurations,
-//! transform configurations and every engine feeding the plan sink (batch
-//! sequential, `DetectorConfig::parallel`, streaming at arbitrary chunk
-//! sizes), and the single-pass report equals the two-pass aggregate report.
+//! transform configurations and every engine feeding the plan sink (the
+//! naive reference, batch sequential, `DetectorConfig::parallel`, streaming
+//! inline and threaded at arbitrary chunk sizes), and the single-pass report
+//! equals the two-pass aggregate report.
 
 use proptest::prelude::*;
 
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
+use perfplay_detect::reference_analyze_with;
 use perfplay_trace::Trace;
 
 fn record(seed: u64, config: &GeneratorConfig) -> Trace {
@@ -77,8 +79,13 @@ proptest! {
         let analysis = Detector::new(config).analyze(&trace);
         let expected = transformer.transform(&trace, &analysis);
 
-        // Batch sequential engine.
+        // Batch sequential engine, pinned to the naive reference.
         let plan = Detector::new(config).plan(&trace, BodyOverlapGain);
+        let reference = reference_analyze_with(&trace, config, PlanAggregator::new(BodyOverlapGain));
+        prop_assert_eq!(
+            &reference.sink.into_plan(reference.sections, reference.breakdown),
+            &plan
+        );
         assert_transforms_identical(
             &transformer.transform_from_plan(&trace, &plan),
             &expected,
@@ -92,13 +99,17 @@ proptest! {
         .plan(&trace, BodyOverlapGain);
         prop_assert_eq!(&parallel, &plan);
 
-        // Streaming engine at an arbitrary chunk size produces the
-        // identical plan.
+        // The streaming engine, inline and threaded, at an arbitrary chunk
+        // size produces the identical plan.
         let streamed = StreamingDetector::new(config)
             .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
             .unwrap();
         let (stream_plan, _) = DetectionPlan::from_streaming(streamed);
         prop_assert_eq!(&stream_plan, &plan);
+        let threaded = ParallelStreamingDetector::with_workers(config, 2)
+            .analyze_trace_with(&trace, chunk_events, PlanAggregator::new(BodyOverlapGain))
+            .unwrap();
+        prop_assert_eq!(&DetectionPlan::from_streaming(threaded).0, &plan);
         assert_transforms_identical(
             &transformer.transform_from_plan(&trace, &stream_plan),
             &expected,

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
-use perfplay_detect::reference_analyze;
+use perfplay_detect::{reference_analyze, reference_analyze_with};
 use perfplay_trace::Trace;
 
 fn record(seed: u64, config: &GeneratorConfig) -> Trace {
@@ -19,8 +19,8 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
 
 /// Runs every engine with a `CollectPairs` and a `SiteAggregator` sink and
 /// asserts full agreement: identical pair lists across the batch
-/// (sequential and parallel), reference and streaming engines, and one
-/// identical aggregate table from all of them.
+/// (sequential and parallel), reference and streaming (inline and threaded)
+/// engines, and one identical aggregate table from all of them.
 fn assert_all_engines_agree(
     trace: &Trace,
     config: DetectorConfig,
@@ -36,7 +36,16 @@ fn assert_all_engines_agree(
     let streamed = StreamingDetector::new(config)
         .analyze_trace(trace, chunk_events)
         .unwrap();
+    let threaded = ParallelStreamingDetector::with_workers(config, 2)
+        .analyze_trace(trace, chunk_events)
+        .unwrap();
 
+    for other in [&parallel, &streamed.analysis, &threaded.analysis] {
+        prop_assert_eq!(&reference.ulcps, &other.ulcps);
+        prop_assert_eq!(&reference.edges, &other.edges);
+        prop_assert_eq!(&reference.breakdown, &other.breakdown);
+        prop_assert_eq!(&reference.sections, &other.sections);
+    }
     for other in [&parallel, &reference, &streamed.analysis] {
         prop_assert_eq!(&sequential.ulcps, &other.ulcps);
         prop_assert_eq!(&sequential.edges, &other.edges);
@@ -61,8 +70,18 @@ fn assert_all_engines_agree(
         .unwrap()
         .sink
         .finish();
+    let threaded_agg = ParallelStreamingDetector::with_workers(config, 2)
+        .analyze_trace_with(trace, chunk_events, SiteAggregator::new(gain))
+        .unwrap()
+        .sink
+        .finish();
+    let reference_agg = reference_analyze_with(trace, config, SiteAggregator::new(gain))
+        .sink
+        .finish();
+    prop_assert_eq!(&batch_agg, &reference_agg);
     prop_assert_eq!(&batch_agg, &parallel_agg);
     prop_assert_eq!(&batch_agg, &streamed_agg);
+    prop_assert_eq!(&batch_agg, &threaded_agg);
     prop_assert_eq!(batch_agg.total_pairs() as usize, sequential.ulcps.len());
     Ok(())
 }

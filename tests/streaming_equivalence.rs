@@ -1,7 +1,9 @@
-//! Property tests: the streaming detector — sequential and sharded-parallel
-//! — is bit-identical to both in-memory engines on arbitrary generated
+//! Property tests: the streaming engine — inline and threaded — is
+//! bit-identical to both in-memory engines on arbitrary generated
 //! workloads, across arbitrary chunk sizes and worker counts, and through
 //! the chunked-file spill/re-ingest roundtrip, gaps included.
+
+mod common;
 
 use proptest::prelude::*;
 
@@ -97,10 +99,9 @@ fn report_pipeline_accepts_streaming_output_unchanged() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The streaming detectors — sequential and sharded-parallel at any
-    /// worker count — reproduce the in-memory engine (and, through the
-    /// existing equivalence, the naive snapshot-cloning reference)
-    /// bit-for-bit regardless of chunking.
+    /// The streaming engine — inline and threaded at any worker count —
+    /// reproduces the in-memory engine and the naive snapshot-cloning
+    /// reference bit-for-bit regardless of chunking.
     #[test]
     fn streaming_is_bit_identical_to_both_engines(
         seed in 0u64..5_000,
@@ -119,24 +120,29 @@ proptest! {
             .unwrap();
         assert_analyses_equal("stream vs batch", &streamed.analysis, &batch)?;
 
-        // The resident-state accounting covers the whole stream.
+        // The resident-state accounting covers exactly what the chunk
+        // adapter delivered.
+        let mut source = TraceChunks::new(&trace, chunk_events);
+        let (mut chunks, mut peak_chunk) = (0usize, 0usize);
+        while let Some(chunk) = source.next_chunk().unwrap() {
+            chunks += 1;
+            peak_chunk = peak_chunk.max(chunk.num_events());
+        }
+        prop_assert_eq!(streamed.stats.chunks, chunks);
         prop_assert_eq!(streamed.stats.events, trace.num_events());
         prop_assert_eq!(streamed.stats.sections, batch.sections.len());
-        prop_assert!(streamed.stats.peak_chunk_events <= trace.num_events());
+        prop_assert_eq!(streamed.stats.peak_chunk_events, peak_chunk);
 
-        // The sharded-parallel engine agrees with everything above, at one
-        // worker (pure pipeline), a middle shard count, and beyond #locks.
+        // Every worker count agrees with the batch engine too: one worker
+        // (inline), a middle shard count, and beyond #locks.
         let parallel = ParallelStreamingDetector::with_workers(config, workers)
             .analyze_trace(&trace, chunk_events)
             .unwrap();
         assert_analyses_equal("parallel vs batch", &parallel.analysis, &batch)?;
-        prop_assert_eq!(parallel.stats.chunks, streamed.stats.chunks);
-        prop_assert_eq!(parallel.stats.events, streamed.stats.events);
-        prop_assert_eq!(parallel.stats.sections, streamed.stats.sections);
-        prop_assert_eq!(
-            parallel.stats.peak_chunk_events,
-            streamed.stats.peak_chunk_events
-        );
+        prop_assert_eq!(parallel.stats.chunks, chunks);
+        prop_assert_eq!(parallel.stats.events, trace.num_events());
+        prop_assert_eq!(parallel.stats.sections, batch.sections.len());
+        prop_assert_eq!(parallel.stats.peak_chunk_events, peak_chunk);
     }
 
     /// Spilling to a chunked trace file and re-ingesting it — either
@@ -239,10 +245,10 @@ proptest! {
     }
 }
 
-/// Gap equivalence: over the *same* corrupted chunk file recovered under
-/// `SkipChunk`, the sharded-parallel engine reproduces the sequential
-/// streaming engine bit-for-bit — analysis content, gap count and loss
-/// accounting all agree, per fault kind and worker count.
+/// Gap equivalence: over a corrupted chunk file recovered under `SkipChunk`,
+/// every worker count — inline and threaded — reproduces the reference
+/// engine run over exactly the surviving events, bit for bit, and accounts
+/// for the same gaps and losses the reader reported, per fault kind.
 #[test]
 fn parallel_streaming_matches_sequential_over_gapped_streams() {
     let trace = record(
@@ -274,12 +280,19 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
             corrupt_chunk_file(&clean, &dst, kind, seed).unwrap();
 
             let mut reader = ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
-            let sequential = StreamingDetector::new(config).analyze(&mut reader).unwrap();
+            let survivors = common::Survivors::collect(&mut reader).unwrap();
             assert!(
-                sequential.stats.is_gapped(),
+                survivors.gaps > 0,
                 "{kind} seed {seed} must actually lose events"
             );
+            let reference = survivors.reference(config);
 
+            let mut reader = ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
+            let inline = StreamingDetector::new(config).analyze(&mut reader).unwrap();
+            assert_eq!(
+                inline.analysis, reference,
+                "{kind} seed {seed} inline: analysis diverged from the reference"
+            );
             for workers in [1usize, 2, 4] {
                 let mut reader =
                     ChunkFileReader::with_policy(&dst, RecoveryPolicy::SkipChunk).unwrap();
@@ -287,12 +300,12 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
                     .analyze(&mut reader)
                     .unwrap();
                 assert_eq!(
-                    parallel.analysis, sequential.analysis,
-                    "{kind} seed {seed} workers {workers}: analysis diverged"
+                    parallel.analysis, reference,
+                    "{kind} seed {seed} workers {workers}: analysis diverged from the reference"
                 );
-                assert_eq!(parallel.stats.gaps, sequential.stats.gaps);
-                assert_eq!(parallel.stats.events_lost, sequential.stats.events_lost);
-                assert_eq!(parallel.stats.events, sequential.stats.events);
+                assert_eq!(parallel.stats.gaps, survivors.gaps);
+                assert_eq!(parallel.stats.events_lost, survivors.events_lost);
+                assert_eq!(parallel.stats.events, survivors.events());
             }
             std::fs::remove_file(&dst).ok();
         }
@@ -301,9 +314,10 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
 }
 
 /// The documented `DetectorConfig::parallel` × streaming matrix: the plain
-/// entry points route the flag to the sharded engine (identical output), and
-/// the sink-generic sequential entry points reject it with a structured
-/// [`StreamError::Config`] instead of silently ignoring it.
+/// entry points route the flag to the threaded engine (output identical to
+/// the batch engine), and the sink-generic inline entry points reject it
+/// with a structured [`StreamError::Config`] instead of silently ignoring
+/// it.
 #[test]
 fn parallel_flag_routes_or_errors_per_the_documented_matrix() {
     let trace = record(
@@ -320,17 +334,20 @@ fn parallel_flag_routes_or_errors_per_the_documented_matrix() {
         ..DetectorConfig::default()
     };
 
-    // `analyze` delegates to the sharded engine: same result as unflagged.
+    // `analyze` delegates to the threaded engine; flagged or not, the
+    // result is the batch engine's.
+    let batch = Detector::default().analyze(&trace);
     let routed = StreamingDetector::new(flagged)
         .analyze_trace(&trace, 32)
         .unwrap();
-    let sequential = StreamingDetector::new(DetectorConfig::default())
+    let inline = StreamingDetector::new(DetectorConfig::default())
         .analyze_trace(&trace, 32)
         .unwrap();
-    assert_eq!(routed.analysis, sequential.analysis);
+    assert_eq!(routed.analysis, batch);
+    assert_eq!(inline.analysis, batch);
 
     // The sink-generic path cannot promise `Send`, so the flag is a
-    // structured config error there — not a silent sequential run.
+    // structured config error there — not a silent inline run.
     let err = StreamingDetector::new(flagged)
         .analyze_trace_with(&trace, 32, perfplay_detect::CollectPairs::default())
         .expect_err("parallel + analyze_with must be rejected");
