@@ -1,12 +1,13 @@
 //! Criterion bench: ULCP detection cost, naive snapshot-cloning reference vs
-//! the snapshot-free engine (sequential and parallel), across trace sizes.
+//! the snapshot-free engine (sequential and parallel), across trace sizes,
+//! plus the production `Detector::plan` path into the site aggregator.
 //!
 //! Set `PERFPLAY_BENCH_FAST=1` for a CI-sized smoke run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use perfplay::prelude::{Detector, DetectorConfig};
 use perfplay_bench::{detect_bench_config, detect_trace, DetectWorkload};
-use perfplay_detect::reference_analyze;
+use perfplay_detect::{reference_analyze, BodyOverlapGain};
 
 fn bench_detect_scaling(c: &mut Criterion) {
     let fast = std::env::var_os("PERFPLAY_BENCH_FAST").is_some_and(|v| v != "0");
@@ -59,6 +60,11 @@ fn bench_detect_scaling(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("optimized_par", &label), &trace, |b, t| {
             b.iter(|| Detector::new(par).analyze(t).breakdown)
         });
+        group.bench_with_input(
+            BenchmarkId::new("optimized_plan", &label),
+            &trace,
+            |b, t| b.iter(|| Detector::new(config).plan(t, BodyOverlapGain).breakdown),
+        );
     }
     group.finish();
 }

@@ -51,6 +51,7 @@
 #![forbid(unsafe_code)]
 
 mod classify;
+mod id_hash;
 mod inject;
 mod kinds;
 mod pairing;

@@ -343,16 +343,32 @@ fn analyze_lock_into<S: UlcpSink>(
     sink: &mut S,
     breakdown: &mut UlcpBreakdown,
 ) {
-    // Per-thread lists, preserving timing order.
-    let mut per_thread: BTreeMap<_, Vec<&CriticalSection>> = BTreeMap::new();
+    // Per-thread lists in ascending thread order (the search order), each
+    // preserving timing order. Section threads index the trace's thread
+    // table, so the dense scratch vector is bounded by the thread count.
+    let num_threads = lock_sections
+        .iter()
+        .map(|s| s.thread.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut per_thread: Vec<Vec<&CriticalSection>> = vec![Vec::new(); num_threads];
     for s in lock_sections {
-        per_thread.entry(s.thread).or_default().push(s);
+        per_thread[s.thread.index()].push(s);
     }
+    per_thread.retain(|others| !others.is_empty());
+    // One cursor per other-thread list: the index of its first section
+    // later than the current one. Currents are visited in ascending id, so
+    // every cursor only moves forward and finding each search's start costs
+    // amortized O(1) instead of a binary search per (section, thread).
+    let mut cursors = vec![0usize; per_thread.len()];
     for current in lock_sections {
         let state_before = index.state_before(current.enter_time);
-        for (other_thread, others) in &per_thread {
-            if *other_thread == current.thread {
+        for (others, cursor) in per_thread.iter().zip(&mut cursors) {
+            if others[0].thread == current.thread {
                 continue;
+            }
+            while others.get(*cursor).is_some_and(|s| s.id <= current.id) {
+                *cursor += 1;
             }
             // `scanned` counts classifications performed; the cap stops the
             // search *before* classifying candidate `cap + 1`, never after a
@@ -360,15 +376,9 @@ fn analyze_lock_into<S: UlcpSink>(
             // exactly at the cap is recorded, not dropped. The counter stays
             // explicit (not `enumerate`) because "classifications performed"
             // is the unit the cap is defined in.
-            //
-            // Per-thread lists are in timing-index (id) order, so the later
-            // candidates start at a binary-searchable boundary; a linear
-            // `filter` re-scan here is O(list) per (section, thread) pair
-            // and dominated whole-trace analysis on few-lock workloads.
-            let start = others.partition_point(|s| s.id <= current.id);
             let mut scanned = 0usize;
             #[allow(clippy::explicit_counter_loop)]
-            for candidate in &others[start..] {
+            for candidate in &others[*cursor..] {
                 if config.max_scan_per_thread.is_some_and(|cap| scanned >= cap) {
                     break;
                 }

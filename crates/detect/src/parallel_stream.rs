@@ -64,6 +64,7 @@ use perfplay_trace::{
 };
 
 use crate::classify::classify_pair;
+use crate::id_hash::IdBuildHasher;
 use crate::kinds::{PairClass, UlcpKind};
 use crate::pairing::{CausalEdge, DetectorConfig, Ulcp, UlcpAnalysis, UlcpBreakdown};
 use crate::shadow::StartState;
@@ -137,33 +138,6 @@ enum Msg {
 // ---------------------------------------------------------------------------
 // Worker-side history: the pruned shadow-memory log, slot-indexed.
 // ---------------------------------------------------------------------------
-
-/// Multiplicative hasher for the object→slot maps. They are hit once per
-/// shared-memory event, and SipHash's flooding resistance buys nothing
-/// there — object ids come from the recorded program, not an adversary.
-/// One odd-constant multiply with a high-bit fold spreads the dense id
-/// space uniformly at a fraction of SipHash's cost.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl std::hash::Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let h = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-}
-
-type IdBuildHasher = std::hash::BuildHasherDefault<IdHasher>;
 
 #[derive(Debug, Default, Clone)]
 struct SlotLog {

@@ -15,7 +15,9 @@
 //!   per-(first-site, second-site, kind) aggregate with saturating counts and
 //!   gains — the seeds of the report layer's Algorithm 2 fusion — keeping
 //!   memory O(code sites) regardless of how many dynamic pairs the scan
-//!   classifies.
+//!   classifies. Rows are hashed by site ids, so each pair costs one
+//!   expected-O(1) probe; the ascending key order of [`SiteAggregates`] is
+//!   restored once, by sorting in [`SiteAggregator::finish`].
 //!
 //! Emission order is engine-specific (the streaming engine emits each lock's
 //! pairs into its own forked lane in per-chunk sweep order, the batch
@@ -30,11 +32,12 @@
 //! [`reference_analyze`]: crate::reference_analyze
 //! [`UlcpAnalysis`]: crate::UlcpAnalysis
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use perfplay_trace::{CodeSiteId, CriticalSection, SectionId, ThreadId, Time};
 use serde::{Deserialize, Serialize};
 
+use crate::id_hash::IdBuildHasher;
 use crate::kinds::UlcpKind;
 use crate::pairing::{CausalEdge, Ulcp, UlcpBreakdown};
 
@@ -320,37 +323,10 @@ impl SiteAggregates {
     /// order — the property the multi-trace batch driver relies on to fuse
     /// concurrently-analyzed traces deterministically.
     pub fn merge(&mut self, other: &SiteAggregates) {
-        let mut ulcps: BTreeMap<(CodeSiteId, CodeSiteId, UlcpKind), PairCell> = BTreeMap::new();
-        for row in self.ulcps.iter().chain(&other.ulcps) {
-            let cell = ulcps
-                .entry((row.site_first, row.site_second, row.kind))
-                .or_default();
-            cell.pairs = cell.pairs.saturating_add(row.dynamic_pairs);
-            cell.gain_ns = cell.gain_ns.saturating_add(row.gain_ns);
-        }
-        let mut edges: BTreeMap<(CodeSiteId, CodeSiteId), u64> = BTreeMap::new();
-        for row in self.edges.iter().chain(&other.edges) {
-            let count = edges.entry((row.site_first, row.site_second)).or_default();
-            *count = count.saturating_add(row.edges);
-        }
-        self.ulcps = ulcps
-            .into_iter()
-            .map(|((site_first, site_second, kind), cell)| SiteAggregate {
-                site_first,
-                site_second,
-                kind,
-                dynamic_pairs: cell.pairs,
-                gain_ns: cell.gain_ns,
-            })
-            .collect();
-        self.edges = edges
-            .into_iter()
-            .map(|((site_first, site_second), edges)| EdgeAggregate {
-                site_first,
-                site_second,
-                edges,
-            })
-            .collect();
+        let mut fused = SiteAggregator::new(NoGain);
+        fused.add_rows(self);
+        fused.add_rows(other);
+        *self = fused.finish();
     }
 }
 
@@ -364,20 +340,33 @@ struct PairCell {
 /// second-site, kind) row at emission time, keeping memory O(code sites)
 /// instead of O(pairs).
 ///
+/// Rows live in hash maps keyed by site ids (the crate's multiplicative id
+/// hasher), so folding one pair is an expected O(1) probe however many rows
+/// the table holds. Site ids in chunk files are untrusted: a colliding id set
+/// only lengthens probes, and the table never holds more than one entry per
+/// row. [`finish`](Self::finish) sorts the rows once into the ascending key
+/// order [`SiteAggregates`] promises.
+///
 /// Counts and gains accumulate with saturating addition, which is commutative
 /// and associative (the result is `min(true sum, u64::MAX)`), so the
-/// aggregate is independent of emission order — the batch, parallel and
-/// streaming engines all produce the identical table.
+/// aggregate is independent of emission and absorption order — the batch,
+/// parallel and streaming engines all produce the identical table.
 #[derive(Debug, Clone, Default)]
 pub struct SiteAggregator<G: GainSource = NoGain> {
     gain: G,
-    pairs: BTreeMap<(CodeSiteId, CodeSiteId, UlcpKind), PairCell>,
-    edges: BTreeMap<(CodeSiteId, CodeSiteId), u64>,
+    pairs: HashMap<PairKey, PairCell, IdBuildHasher>,
+    edges: HashMap<EdgeKey, u64, IdBuildHasher>,
 }
+
+/// `(site_first, site_second, kind)` of one ULCP row.
+type PairKey = (CodeSiteId, CodeSiteId, UlcpKind);
+
+/// `(site_first, site_second)` of one edge row.
+type EdgeKey = (CodeSiteId, CodeSiteId);
 
 /// Unordered site-pair key, normalized exactly as the report layer's fusion
 /// seeds are.
-fn site_key(ctx: &SectionCtx<'_>) -> (CodeSiteId, CodeSiteId) {
+fn site_key(ctx: &SectionCtx<'_>) -> EdgeKey {
     let (a, b) = (ctx.first.site, ctx.second.site);
     if a.raw() <= b.raw() {
         (a, b)
@@ -391,34 +380,58 @@ impl<G: GainSource> SiteAggregator<G> {
     pub fn new(gain: G) -> Self {
         SiteAggregator {
             gain,
-            pairs: BTreeMap::new(),
-            edges: BTreeMap::new(),
+            pairs: HashMap::default(),
+            edges: HashMap::default(),
         }
     }
 
-    /// Consumes the aggregator into its finished tables.
+    /// Consumes the aggregator into its finished tables, sorted into
+    /// ascending key order (keys are unique, so the order is total).
     pub fn finish(self) -> SiteAggregates {
-        SiteAggregates {
-            ulcps: self
-                .pairs
-                .into_iter()
-                .map(|((site_first, site_second, kind), cell)| SiteAggregate {
-                    site_first,
-                    site_second,
-                    kind,
-                    dynamic_pairs: cell.pairs,
-                    gain_ns: cell.gain_ns,
-                })
-                .collect(),
-            edges: self
-                .edges
-                .into_iter()
-                .map(|((site_first, site_second), edges)| EdgeAggregate {
-                    site_first,
-                    site_second,
-                    edges,
-                })
-                .collect(),
+        let mut ulcps: Vec<SiteAggregate> = self
+            .pairs
+            .into_iter()
+            .map(|((site_first, site_second, kind), cell)| SiteAggregate {
+                site_first,
+                site_second,
+                kind,
+                dynamic_pairs: cell.pairs,
+                gain_ns: cell.gain_ns,
+            })
+            .collect();
+        ulcps.sort_unstable_by_key(|row| (row.site_first, row.site_second, row.kind));
+        let mut edges: Vec<EdgeAggregate> = self
+            .edges
+            .into_iter()
+            .map(|((site_first, site_second), edges)| EdgeAggregate {
+                site_first,
+                site_second,
+                edges,
+            })
+            .collect();
+        edges.sort_unstable_by_key(|row| (row.site_first, row.site_second));
+        SiteAggregates { ulcps, edges }
+    }
+
+    fn add_cell(&mut self, key: PairKey, pairs: u64, gain_ns: u64) {
+        let cell = self.pairs.entry(key).or_default();
+        cell.pairs = cell.pairs.saturating_add(pairs);
+        cell.gain_ns = cell.gain_ns.saturating_add(gain_ns);
+    }
+
+    fn add_edges(&mut self, key: EdgeKey, edges: u64) {
+        let count = self.edges.entry(key).or_default();
+        *count = count.saturating_add(edges);
+    }
+
+    /// Folds every row of a finished table back in.
+    fn add_rows(&mut self, table: &SiteAggregates) {
+        for row in &table.ulcps {
+            let key = (row.site_first, row.site_second, row.kind);
+            self.add_cell(key, row.dynamic_pairs, row.gain_ns);
+        }
+        for row in &table.edges {
+            self.add_edges((row.site_first, row.site_second), row.edges);
         }
     }
 }
@@ -427,18 +440,11 @@ impl<G: GainSource + Clone> UlcpSink for SiteAggregator<G> {
     fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
         let (site_first, site_second) = site_key(ctx);
         let gain = self.gain.pair_gain_ns(&ulcp, ctx).max(0) as u64;
-        let cell = self
-            .pairs
-            .entry((site_first, site_second, ulcp.kind))
-            .or_default();
-        cell.pairs = cell.pairs.saturating_add(1);
-        cell.gain_ns = cell.gain_ns.saturating_add(gain);
+        self.add_cell((site_first, site_second, ulcp.kind), 1, gain);
     }
 
     fn emit_edge(&mut self, _edge: CausalEdge, ctx: &SectionCtx<'_>) {
-        let key = site_key(ctx);
-        let count = self.edges.entry(key).or_default();
-        *count = count.saturating_add(1);
+        self.add_edges(site_key(ctx), 1);
     }
 
     fn fork(&self) -> Self {
@@ -447,13 +453,10 @@ impl<G: GainSource + Clone> UlcpSink for SiteAggregator<G> {
 
     fn absorb(&mut self, shard: Self) {
         for (key, cell) in shard.pairs {
-            let mine = self.pairs.entry(key).or_default();
-            mine.pairs = mine.pairs.saturating_add(cell.pairs);
-            mine.gain_ns = mine.gain_ns.saturating_add(cell.gain_ns);
+            self.add_cell(key, cell.pairs, cell.gain_ns);
         }
         for (key, count) in shard.edges {
-            let mine = self.edges.entry(key).or_default();
-            *mine = mine.saturating_add(count);
+            self.add_edges(key, count);
         }
     }
 

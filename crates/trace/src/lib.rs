@@ -67,7 +67,7 @@ pub use stats::TraceStats;
 pub use stream::{
     read_chunked_trace, ChunkFileHeader, ChunkFileReader, ChunkFileRecord, ChunkFileTrailer,
     EventSource, RawChunkRecords, RawRecord, RecoveryPolicy, StreamError, StreamGap, StreamItem,
-    ThreadSpan, TraceChunk, TraceChunks,
+    ThreadSpan, TraceChunk, TraceChunks, MAX_LINE_BYTES,
 };
 pub use time::Time;
 pub use trace::{ThreadTrace, Trace, TraceError, TraceMeta};

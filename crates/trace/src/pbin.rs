@@ -68,7 +68,7 @@ const KIND_TRAILER: u8 = 2;
 
 /// Sanity cap on one frame's payload: a corrupt length field must never
 /// drive an unbounded read or allocation.
-const MAX_PAYLOAD: usize = 1 << 28;
+pub(crate) const MAX_PAYLOAD: usize = 1 << 28;
 
 /// Most elements a decoded count may reserve up front. A count is only
 /// checked against the remaining payload bytes, and a decoded element is
@@ -181,8 +181,10 @@ impl ChunkFormat {
     ///
     /// # Errors
     ///
-    /// Fails only if a JSON record does not serialize (which no well-formed
-    /// [`ChunkFileRecord`] can trigger); the binary encoder is infallible.
+    /// Fails if a JSON record does not serialize (which no well-formed
+    /// [`ChunkFileRecord`] can trigger) or its line would exceed
+    /// [`MAX_LINE_BYTES`](crate::MAX_LINE_BYTES), which no reader accepts;
+    /// the binary encoder is infallible.
     pub fn encode_record(
         self,
         record: &ChunkFileRecord,
@@ -193,6 +195,13 @@ impl ChunkFormat {
                 let json = serde_json::to_string(record).map_err(|e| {
                     StreamError::Format(format!("record does not serialize: {}", e.0))
                 })?;
+                if json.len() >= crate::MAX_LINE_BYTES {
+                    return Err(StreamError::Format(format!(
+                        "record of {} bytes exceeds the {}-byte line limit; write smaller chunks",
+                        json.len() + 1,
+                        crate::MAX_LINE_BYTES
+                    )));
+                }
                 out.extend_from_slice(json.as_bytes());
                 out.push(b'\n');
             }

@@ -22,7 +22,7 @@
 //! [`ChunkFileReader`] on well-formed, gapped, and fault-injected files.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::path::Path;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -31,8 +31,9 @@ use std::thread::JoinHandle;
 use crate::pbin::{decode_checked_payload, ChunkFormat, PbinFrameBody, PbinScanner};
 use crate::site::SiteTable;
 use crate::stream::{
-    trim_line, ChunkFileReader, ChunkFileTrailer, EventSource, RawRecord, RecoveryPolicy,
-    StreamError, StreamGap, StreamItem, TraceChunk, UTF8_ERROR,
+    line_too_long, read_bounded_line, trim_line, BoundedLine, ChunkFileReader, ChunkFileTrailer,
+    EventSource, RawRecord, RecoveryPolicy, StreamError, StreamGap, StreamItem, TraceChunk,
+    MAX_LINE_BYTES, UTF8_ERROR,
 };
 use crate::trace::TraceMeta;
 
@@ -136,7 +137,9 @@ fn frame_pbin(
 }
 
 /// Framing loop for JSON-lines files: splits lines with a reused buffer and
-/// the same terminator/byte-accounting rules as the sequential scanner.
+/// the same terminator, byte-accounting and line-limit rules as the
+/// sequential scanner. An over-long line is skipped unbuffered and goes
+/// straight to the consumer as a failed record, like a bad PBIN frame.
 /// UTF-8 validation happens in the decode workers; when a worker flags a bad
 /// line as terminal the consumer truncates the stream there, so lines this
 /// loop reads past the failure are never observable.
@@ -151,11 +154,30 @@ fn frame_json(
     let mut offset = 0u64;
     loop {
         let mut buf: Vec<u8> = recycle.try_recv().unwrap_or_default();
-        buf.clear();
         let this_line = line_no + 1;
         let line_offset = offset;
-        let n = match input.read_until(b'\n', &mut buf) {
-            Ok(n) => n,
+        match read_bounded_line(&mut input, &mut buf, MAX_LINE_BYTES) {
+            Ok(BoundedLine::Line) => {}
+            Ok(BoundedLine::Eof) => return,
+            Ok(BoundedLine::TooLong(bytes)) => {
+                line_no = this_line;
+                offset += bytes;
+                let sent = results.send(Decoded {
+                    seq,
+                    terminal: false,
+                    record: RawRecord {
+                        line: this_line,
+                        offset: line_offset,
+                        bytes,
+                        record: Err(line_too_long(this_line, bytes)),
+                    },
+                });
+                if sent.is_err() {
+                    return;
+                }
+                seq += 1;
+                continue;
+            }
             Err(e) => {
                 let _ = results.send(Decoded {
                     seq,
@@ -169,9 +191,6 @@ fn frame_json(
                 });
                 return;
             }
-        };
-        if n == 0 {
-            return;
         }
         let stripped = trim_line(&buf).len();
         buf.truncate(stripped);

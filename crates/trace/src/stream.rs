@@ -938,6 +938,79 @@ pub(crate) fn trim_line(buf: &[u8]) -> &[u8] {
     }
 }
 
+/// Longest JSON-lines record a reader buffers, terminator included: the
+/// PBIN payload cap, so one record of either format costs the same bounded
+/// buffer. [`ChunkFormat::encode_record`](crate::ChunkFormat::encode_record)
+/// refuses to emit a longer line, so every line a writer produces reads
+/// back. A longer line — a newline-free file, say — is skipped without
+/// being buffered and surfaces as a located parse error, which each
+/// [`RecoveryPolicy`] handles like any other unreadable record.
+pub const MAX_LINE_BYTES: usize = crate::pbin::MAX_PAYLOAD;
+
+/// What [`read_bounded_line`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BoundedLine {
+    /// Clean end of input: nothing was read.
+    Eof,
+    /// One line, terminator included when present, is in the buffer.
+    Line,
+    /// The line ran past the limit. It was consumed through its terminator
+    /// (or end of input) without being kept; the buffer is empty and holds
+    /// no oversized allocation. Carries the bytes consumed.
+    TooLong(u64),
+}
+
+/// Reads one `\n`-terminated line into `buf`, replacing its contents,
+/// without growing `buf`'s capacity past `limit`: capacity doubles clamped
+/// to the limit, and each read is capped at the spare capacity, so the
+/// vector never reallocates past it.
+pub(crate) fn read_bounded_line(
+    input: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    limit: usize,
+) -> std::io::Result<BoundedLine> {
+    use std::io::Read;
+    buf.clear();
+    while buf.len() < limit {
+        if buf.capacity() == buf.len() {
+            buf.reserve_exact(buf.capacity().max(8 << 10).min(limit - buf.len()));
+        }
+        let spare = (buf.capacity() - buf.len()).min(limit - buf.len());
+        let n = input.by_ref().take(spare as u64).read_until(b'\n', buf)?;
+        if n == 0 || buf.last() == Some(&b'\n') {
+            return Ok(if buf.is_empty() {
+                BoundedLine::Eof
+            } else {
+                BoundedLine::Line
+            });
+        }
+    }
+    // `limit` bytes and no terminator yet: a final unterminated line of
+    // exactly `limit` bytes still fits.
+    if input.fill_buf()?.is_empty() {
+        return Ok(BoundedLine::Line);
+    }
+    let mut consumed = buf.len() as u64;
+    *buf = Vec::new();
+    let mut skip = Vec::new();
+    loop {
+        skip.clear();
+        let n = input.by_ref().take(8 << 10).read_until(b'\n', &mut skip)?;
+        consumed += n as u64;
+        if n == 0 || skip.last() == Some(&b'\n') {
+            return Ok(BoundedLine::TooLong(consumed));
+        }
+    }
+}
+
+/// The parse error an over-long line surfaces as.
+pub(crate) fn line_too_long(line: usize, bytes: u64) -> StreamError {
+    StreamError::Parse {
+        line,
+        message: format!("line of {bytes} bytes exceeds the {MAX_LINE_BYTES}-byte line limit"),
+    }
+}
+
 /// Format-dispatching record scanner: yields every record of a chunk file,
 /// parse failures included, in either [`ChunkFormat`].
 #[derive(Debug)]
@@ -997,9 +1070,22 @@ impl RecordScanner {
                 }
                 let this_line = *line_no + 1;
                 let line_offset = *offset;
-                buf.clear();
-                let n = match input.read_until(b'\n', buf) {
-                    Ok(n) => n,
+                match read_bounded_line(input, buf, MAX_LINE_BYTES) {
+                    Ok(BoundedLine::Line) => {}
+                    Ok(BoundedLine::Eof) => {
+                        *done = true;
+                        return None;
+                    }
+                    Ok(BoundedLine::TooLong(bytes)) => {
+                        *line_no = this_line;
+                        *offset += bytes;
+                        return Some(RawRecord {
+                            line: this_line,
+                            offset: line_offset,
+                            bytes,
+                            record: Err(line_too_long(this_line, bytes)),
+                        });
+                    }
                     Err(e) => {
                         *done = true;
                         return Some(RawRecord {
@@ -1009,10 +1095,6 @@ impl RecordScanner {
                             record: Err(StreamError::Io(e.to_string())),
                         });
                     }
-                };
-                if n == 0 {
-                    *done = true;
-                    return None;
                 }
                 let content = trim_line(buf);
                 let Ok(text) = std::str::from_utf8(content) else {
@@ -1321,5 +1403,37 @@ mod tests {
         assert!(e.to_string().contains("line 7"));
         let e: StreamError = TraceError::MisnumberedThread { index: 2 }.into();
         assert!(matches!(e, StreamError::Trace(_)));
+    }
+
+    #[test]
+    fn bounded_lines_split_at_the_limit_and_skip_what_exceeds_it() {
+        // Limit 8 (terminator included). Lines of 8 bytes fit, a 9-byte
+        // line is skipped whole, and reading resumes at the next line.
+        let input = b"1234567\n123456789\nab\n";
+        let mut reader = std::io::BufReader::with_capacity(4, &input[..]);
+        let mut buf = Vec::new();
+        let mut read = |buf: &mut Vec<u8>| read_bounded_line(&mut reader, buf, 8).unwrap();
+        assert_eq!(read(&mut buf), BoundedLine::Line);
+        assert_eq!(buf, b"1234567\n");
+        assert!(buf.capacity() <= 8);
+        assert_eq!(read(&mut buf), BoundedLine::TooLong(10));
+        assert!(buf.is_empty());
+        assert_eq!(read(&mut buf), BoundedLine::Line);
+        assert_eq!(buf, b"ab\n");
+        assert_eq!(read(&mut buf), BoundedLine::Eof);
+    }
+
+    #[test]
+    fn bounded_lines_accept_an_unterminated_tail_up_to_the_limit() {
+        let mut buf = Vec::new();
+        let exact = read_bounded_line(&mut &b"12345678"[..], &mut buf, 8).unwrap();
+        assert_eq!(exact, BoundedLine::Line);
+        assert_eq!(buf, b"12345678");
+        // A newline-free input past the limit is consumed to its end
+        // without ever being buffered beyond the limit.
+        let long = vec![b'x'; 100_000];
+        let over = read_bounded_line(&mut &long[..], &mut buf, 8).unwrap();
+        assert_eq!(over, BoundedLine::TooLong(100_000));
+        assert_eq!(buf.capacity(), 0);
     }
 }

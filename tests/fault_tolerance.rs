@@ -19,8 +19,8 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_trace::{
-    ChunkFileReader, ChunkFileRecord, ChunkFormat, RawChunkRecords, RecoveryPolicy, StreamError,
-    Trace, TraceChunk,
+    ChunkFileReader, ChunkFileRecord, ChunkFormat, PipelinedChunkReader, RawChunkRecords,
+    RecoveryPolicy, StreamError, Trace, TraceChunk, MAX_LINE_BYTES,
 };
 
 const POLICIES: [RecoveryPolicy; 3] = [
@@ -765,6 +765,106 @@ fn pbin_hostile_counts_are_contained() {
         assert_matches_survivors(&dst, RecoveryPolicy::SkipChunk, &skip, &label);
     }
     std::fs::remove_file(&dst).ok();
+}
+
+/// Peak resident set of this process in bytes, where the OS reports it.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: u64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib * 1024)
+}
+
+/// Over-long JSON-lines records: a seeded chunk line is replaced by a
+/// newline-free run of zero bytes past [`MAX_LINE_BYTES`] — either just past
+/// it and terminated, so the file goes on, or running three limits to end of
+/// file. The run is a sparse hole, so the file costs no disk. Both the
+/// sequential and the pipelined reader skip the run without buffering more
+/// than the limit: the line yields a located error under `Fail` and a gap
+/// under the recovery policies (matching the reference over what survived),
+/// the readers agree, nothing panics, and the process peak stays under two
+/// limits above where it started (a reader that buffered the whole run
+/// would need three; the slack covers a copying reallocation).
+#[test]
+fn jsonl_overlong_lines_are_contained() {
+    use std::io::{Seek, SeekFrom, Write};
+
+    let corpus = corpus();
+    let limit = MAX_LINE_BYTES as u64;
+    let baseline = peak_rss_bytes();
+    let dst = std::env::temp_dir().join(format!(
+        "perfplay-jsonl-overlong-{}.jsonl",
+        std::process::id()
+    ));
+    for seed in 0u64..3 {
+        let mut rng = SplitMix(seed);
+        // A chunk line: never the header (line 0) or the trailer (last).
+        let victim = rng.range(1, corpus.lines.len() as u64 - 1) as usize;
+        let to_eof = seed == 2;
+        let run = if to_eof {
+            3 * limit + rng.range(1, 1 << 16)
+        } else {
+            limit + rng.range(0, 1 << 16)
+        };
+        let label = format!(
+            "seed {seed}: line {} of {run} bytes, to_eof {to_eof}",
+            victim + 1
+        );
+
+        let mut file = std::fs::File::create(&dst).unwrap();
+        for line in &corpus.lines[..victim] {
+            writeln!(file, "{line}").unwrap();
+        }
+        let hole = file.stream_position().unwrap();
+        file.set_len(hole + run).unwrap();
+        file.seek(SeekFrom::End(0)).unwrap();
+        if !to_eof {
+            writeln!(file).unwrap();
+            for line in &corpus.lines[victim + 1..] {
+                writeln!(file, "{line}").unwrap();
+            }
+        }
+        drop(file);
+
+        match ingest(&dst, RecoveryPolicy::Fail, 0) {
+            Err(_) => panic!("{label} panicked under Fail"),
+            Ok(Ok(_)) => panic!("{label} analyzed cleanly under Fail"),
+            Ok(Err(e)) => match &e {
+                StreamError::At { line, offset, .. } => {
+                    assert_eq!(*line, victim + 1, "{label}: error line");
+                    assert_eq!(*offset, hole, "{label}: error offset");
+                    assert!(
+                        e.to_string().contains("line limit"),
+                        "{label}: unexpected cause {e}"
+                    );
+                }
+                _ => panic!("{label}: expected a located error, got {e:?}"),
+            },
+        }
+        for policy in [RecoveryPolicy::SkipChunk, RecoveryPolicy::SkipStream] {
+            let outcome = ingest(&dst, policy, 0);
+            let sequential = describe(&outcome);
+            assert!(
+                sequential.starts_with("gap-report"),
+                "{label} must become a gap under {policy:?}, got {sequential}"
+            );
+            assert_matches_survivors(&dst, policy, &outcome, &label);
+
+            let pipelined = describe(&std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut reader = PipelinedChunkReader::with_options(&dst, policy, None, 2)?;
+                StreamingDetector::new(config()).analyze(&mut reader)
+            })));
+            assert_eq!(pipelined, sequential, "{label}: pipelined reader diverged");
+        }
+    }
+    std::fs::remove_file(&dst).ok();
+    if let (Some(before), Some(after)) = (baseline, peak_rss_bytes()) {
+        assert!(
+            after < before + 2 * limit,
+            "peak RSS grew by {} bytes reading over-long lines (limit {limit})",
+            after.saturating_sub(before)
+        );
+    }
 }
 
 /// A corrupted member of a multi-file batch is isolated as a structured

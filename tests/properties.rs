@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay::PerfPlay;
+use perfplay_trace::{CodeSiteId, Event, LockId, ObjectId, TraceMeta, WriteOp};
 
 fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
     (2usize..5, 1usize..4, 2usize..6, 4u32..14).prop_map(
@@ -17,6 +18,48 @@ fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
             sections_per_thread,
         },
     )
+}
+
+/// Every detector configuration the reference comparison sweeps: the
+/// default uncapped search, the reversed-replay ablation, and the
+/// `max_scan_per_thread` caps `0`, `1`, `3` and `4`.
+fn detector_configs() -> Vec<DetectorConfig> {
+    let mut configs = vec![
+        DetectorConfig::default(),
+        DetectorConfig {
+            use_reversed_replay: false,
+            ..DetectorConfig::default()
+        },
+    ];
+    configs.extend([0, 1, 3, 4].map(|cap| DetectorConfig {
+        max_scan_per_thread: Some(cap),
+        ..DetectorConfig::default()
+    }));
+    configs
+}
+
+/// `Detector::analyze`, sequential and `parallel: true`, against
+/// `reference_analyze`: breakdown, pairs, edges and sections.
+fn assert_detector_matches_reference(
+    trace: &Trace,
+    det_config: DetectorConfig,
+) -> Result<(), TestCaseError> {
+    let reference = perfplay_detect::reference_analyze(trace, det_config);
+    let sequential = Detector::new(det_config).analyze(trace);
+    let parallel = Detector::new(DetectorConfig {
+        parallel: true,
+        ..det_config
+    })
+    .analyze(trace);
+    prop_assert_eq!(&reference.breakdown, &sequential.breakdown);
+    prop_assert_eq!(&reference.ulcps, &sequential.ulcps);
+    prop_assert_eq!(&reference.edges, &sequential.edges);
+    prop_assert_eq!(&reference.sections, &sequential.sections);
+    prop_assert_eq!(&sequential.breakdown, &parallel.breakdown);
+    prop_assert_eq!(&sequential.ulcps, &parallel.ulcps);
+    prop_assert_eq!(&sequential.edges, &parallel.edges);
+    prop_assert_eq!(&sequential.sections, &parallel.sections);
+    Ok(())
 }
 
 proptest! {
@@ -91,28 +134,14 @@ proptest! {
 
     /// The optimized snapshot-free detector — sequential and parallel — is
     /// bit-identical to the retained naive snapshot-cloning reference, for
-    /// the default configuration, the reversed-replay ablation, and a capped
-    /// sequential search.
+    /// the default configuration, the reversed-replay ablation, and capped
+    /// searches at every cap edge: none, one, a few and more.
     #[test]
     fn optimized_detector_matches_naive_reference(seed in 0u64..5_000, config in generator_config()) {
         let program = random_workload(seed, &config);
         let trace = Recorder::new(SimConfig::default()).record(&program).unwrap().trace;
-        for det_config in [
-            DetectorConfig::default(),
-            DetectorConfig { use_reversed_replay: false, ..DetectorConfig::default() },
-            DetectorConfig { max_scan_per_thread: Some(3), ..DetectorConfig::default() },
-        ] {
-            let reference = perfplay_detect::reference_analyze(&trace, det_config);
-            let sequential = Detector::new(det_config).analyze(&trace);
-            let parallel = Detector::new(DetectorConfig { parallel: true, ..det_config })
-                .analyze(&trace);
-            prop_assert_eq!(&reference.breakdown, &sequential.breakdown);
-            prop_assert_eq!(&reference.ulcps, &sequential.ulcps);
-            prop_assert_eq!(&reference.edges, &sequential.edges);
-            prop_assert_eq!(&sequential.breakdown, &parallel.breakdown);
-            prop_assert_eq!(&sequential.ulcps, &parallel.ulcps);
-            prop_assert_eq!(&sequential.edges, &parallel.edges);
-            prop_assert_eq!(&sequential.sections, &parallel.sections);
+        for det_config in detector_configs() {
+            assert_detector_matches_reference(&trace, det_config)?;
         }
     }
 
@@ -131,6 +160,109 @@ proptest! {
         for rec in &analysis.report.recommendations {
             prop_assert!(rec.opportunity >= 0.0);
             prop_assert!(rec.group.dynamic_pairs >= 1);
+        }
+    }
+}
+
+/// A hand-built trace the generator never produces: every thread enters
+/// lock 0 at the same instant (ids then break the tie by thread), and
+/// threads re-enter a lock they already hold, so one thread's sections on
+/// one lock overlap in time.
+fn tied_reentrant_trace() -> Trace {
+    let acquire = |lock: u32, site: u32| Event::LockAcquire {
+        lock: LockId::new(lock),
+        site: CodeSiteId::new(site),
+    };
+    let release = |lock: u32| Event::LockRelease {
+        lock: LockId::new(lock),
+    };
+    let read = |obj: u64| Event::Read {
+        obj: ObjectId::new(obj),
+        value: 0,
+    };
+    let write = |obj: u64, value: i64| Event::Write {
+        obj: ObjectId::new(obj),
+        op: WriteOp::Set(value),
+        value,
+    };
+    let threads: [Vec<(u64, Event)>; 3] = [
+        vec![
+            (10, acquire(0, 0)),
+            (10, acquire(0, 1)), // re-entrant, same instant
+            (11, read(0)),
+            (12, release(0)),
+            (13, write(1, 1)),
+            (14, release(0)),
+            (20, acquire(1, 2)),
+            (21, read(0)),
+            (22, release(1)),
+            (30, acquire(0, 3)),
+            (31, release(0)),
+        ],
+        vec![
+            (10, acquire(0, 1)),
+            (11, read(0)),
+            (12, release(0)),
+            (20, acquire(0, 4)),
+            (21, write(1, 1)),
+            (22, release(0)),
+            (30, acquire(1, 2)),
+            (30, acquire(1, 5)), // re-entrant on lock 1
+            (31, write(0, 7)),
+            (32, release(1)),
+            (33, read(0)),
+            (34, release(1)),
+        ],
+        vec![
+            (10, acquire(0, 0)),
+            (10, write(0, 3)),
+            (11, release(0)),
+            (20, acquire(1, 2)),
+            (21, read(1)),
+            (22, release(1)),
+            (30, acquire(0, 3)),
+            (31, read(1)),
+            (32, acquire(0, 6)), // re-entrant, nested after an access
+            (33, write(1, 1)),
+            (34, release(0)),
+            (35, release(0)),
+        ],
+    ];
+    let mut trace = Trace::new(
+        TraceMeta {
+            program: "tied-reentrant".into(),
+            num_threads: threads.len(),
+            num_locks: 2,
+            num_objects: 2,
+            input: "hand-built".into(),
+        },
+        threads.len(),
+    );
+    for (t, events) in threads.into_iter().enumerate() {
+        for (at, event) in events {
+            trace.threads[t].push(Time::from_nanos(at), event);
+        }
+    }
+    trace
+}
+
+/// The cursor-started searches of the batch engine handle enter-time ties
+/// and re-entrant same-lock nesting exactly like the reference, under every
+/// cap.
+#[test]
+fn tied_and_reentrant_sections_match_the_reference() {
+    let trace = tied_reentrant_trace();
+    trace.validate().unwrap();
+    let sections = perfplay_trace::extract_critical_sections(&trace);
+    assert!(
+        sections.iter().any(|s| s.depth > 0),
+        "the trace must nest re-entrantly"
+    );
+    let reference = perfplay_detect::reference_analyze(&trace, DetectorConfig::default());
+    assert!(reference.breakdown.total_ulcps() > 0 && reference.breakdown.tlcp_edges > 0);
+    for det_config in detector_configs() {
+        if let Err(e) = assert_detector_matches_reference(&trace, det_config) {
+            panic!("{det_config:?}: {e}");
         }
     }
 }
