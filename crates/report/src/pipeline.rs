@@ -6,7 +6,9 @@
 //! [`PlanAggregator`](perfplay_detect::PlanAggregator), whose
 //! [`DetectionPlan`] (edge table + benign pairs + per-site aggregate rows)
 //! is everything the transformation, the ULCP-free replay admission and the
-//! ranked report need. No pair vector exists at any point.
+//! ranked report need. No pair vector exists at any point. The
+//! original-trace replay needs none of that output, so it runs on a scoped
+//! side thread beside detect → transform → ULCP-free replay.
 //!
 //! [`analyze_batch`] is the paper's Table 1 sweep as one call: it analyzes N
 //! recorded traces concurrently — reusing the detector's fork/absorb
@@ -17,7 +19,7 @@
 //! to sequential per-trace analysis followed by an in-order merge.
 
 use std::num::NonZeroUsize;
-use std::panic::AssertUnwindSafe;
+use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -35,8 +37,10 @@ use perfplay_replay::{
     ReplayConfig, ReplayError, ReplayResult, ReplaySchedule, Replayer, ScheduleKind,
     UlcpFreeReplayer,
 };
-use perfplay_trace::{ChunkFileReader, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace};
-use perfplay_transform::{TransformConfig, Transformer};
+use perfplay_trace::{
+    ChunkFileReader, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace, TraceStats,
+};
+use perfplay_transform::{TransformConfig, TransformedTrace, Transformer};
 
 use crate::fusion::{fuse_aggregates, rank_groups, Recommendation};
 use crate::report::PerfReport;
@@ -223,8 +227,8 @@ impl PipelineConfig {
 }
 
 /// Everything one single-pass pipeline run produced. The transformed trace
-/// (which clones the original event log) is dropped as soon as the ULCP-free
-/// replay finishes; its statistics live on in `report.transform_stats`.
+/// (which clones the original event log) is not kept: it lives until the
+/// report is built, and its statistics live on in `report.transform_stats`.
 #[derive(Debug, Clone)]
 pub struct PlanAnalysis {
     /// The compact detection output that drove transform, replay and report.
@@ -243,6 +247,16 @@ pub struct PlanAnalysis {
 /// Runs the single-pass pipeline with an explicit detection-time gain
 /// source.
 ///
+/// The pipeline has two independent halves. The original-trace replay and
+/// the trace statistics need nothing but the recorded trace, so they run on
+/// one scoped side thread while the calling thread runs detect → transform
+/// → (schedule preflight) → ULCP-free replay; the report is assembled after
+/// both join. The outcome is the one the stages would give one after
+/// another, failures included: errors and panics take precedence in stage
+/// order — trace preflight (checked before the side thread starts), stream
+/// error, schedule preflight, original replay, ULCP-free replay — and a
+/// panic is re-raised with its own payload.
+///
 /// # Errors
 ///
 /// Returns [`PipelineError`] if a replay fails or the chunked stream is
@@ -258,6 +272,63 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
             return Err(PipelineError::Preflight(errors));
         }
     }
+    std::thread::scope(|scope| {
+        // The statistics scan only counts (saturating time sums), so a
+        // panic on this thread is the original replay's.
+        let side = scope.spawn(|| {
+            let original = Replayer::new(config.replay)
+                .replay(trace, ReplaySchedule::for_kind(config.original_schedule));
+            (original, TraceStats::of(trace))
+        });
+        // Every stage below is caught so that the side thread is joined
+        // before any outcome, success, error or panic, is resolved. The
+        // ULCP-free replay ranks after the original replay, so its own
+        // outcome is held apart until that one is known.
+        let main = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            plan_and_transform(trace, config, gain).map(|(plan, streaming, transformed)| {
+                let free = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    UlcpFreeReplayer::new(config.replay)
+                        .with_dls(config.use_dls)
+                        .replay(&transformed)
+                }));
+                (plan, streaming, transformed, free)
+            })
+        }));
+        let side = side.join();
+        let (plan, streaming, transformed, free) = main.unwrap_or_else(|p| resume_unwind(p))?;
+        let (original, trace_stats) = side.unwrap_or_else(|p| resume_unwind(p));
+        let original_replay = original?;
+        let ulcp_free_replay = free.unwrap_or_else(|p| resume_unwind(p))?;
+        let mut report = PerfReport::assemble(
+            trace,
+            trace_stats,
+            plan.breakdown,
+            &plan.aggregates,
+            &transformed,
+            &original_replay,
+            &ulcp_free_replay,
+        );
+        if let Some(stats) = &streaming {
+            report = report.with_stream_gaps(stats.gaps, stats.events_lost);
+        }
+        Ok(PlanAnalysis {
+            plan,
+            original_replay,
+            ulcp_free_replay,
+            report,
+            streaming,
+        })
+    })
+}
+
+/// The calling thread's half of [`analyze_plan_with`] up to the ULCP-free
+/// replay: detection, transformation and, when enabled, the schedule
+/// preflight.
+fn plan_and_transform<G: GainSource + Clone + Send + Sync>(
+    trace: &Trace,
+    config: &PipelineConfig,
+    gain: G,
+) -> Result<(DetectionPlan, Option<StreamingStats>, TransformedTrace), PipelineError> {
     let (plan, streaming) = match config.chunk_events {
         Some(chunk_events) => {
             let sink = PlanAggregator::new(gain);
@@ -285,28 +356,7 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
             return Err(PipelineError::Preflight(schedule_errors));
         }
     }
-    let original_replay = Replayer::new(config.replay)
-        .replay(trace, ReplaySchedule::for_kind(config.original_schedule))?;
-    let ulcp_free_replay = UlcpFreeReplayer::new(config.replay)
-        .with_dls(config.use_dls)
-        .replay(&transformed)?;
-    let mut report = PerfReport::from_plan(
-        trace,
-        &plan,
-        &transformed,
-        &original_replay,
-        &ulcp_free_replay,
-    );
-    if let Some(stats) = &streaming {
-        report = report.with_stream_gaps(stats.gaps, stats.events_lost);
-    }
-    Ok(PlanAnalysis {
-        plan,
-        original_replay,
-        ulcp_free_replay,
-        report,
-        streaming,
-    })
+    Ok((plan, streaming, transformed))
 }
 
 /// Runs the single-pass pipeline with the default detection-time gain proxy
@@ -828,6 +878,63 @@ mod tests {
         let out = f();
         std::panic::set_hook(hook);
         out
+    }
+
+    #[test]
+    fn side_thread_panic_keeps_the_original_replay_message() {
+        let trace = poisoned(220);
+        let (batch, direct) = with_quiet_panics(|| {
+            let direct = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Replayer::new(ReplayConfig::default()).replay(&trace, ReplaySchedule::elsc())
+            }))
+            .expect_err("the poisoned trace panics the ELSC replay");
+            (
+                analyze_batch(std::slice::from_ref(&trace), &PipelineConfig::default()),
+                panic_message(direct),
+            )
+        });
+        assert_eq!(
+            batch.failures,
+            vec![BatchItemError {
+                trace_index: 0,
+                error: PipelineError::Panic(direct),
+            }]
+        );
+    }
+
+    #[test]
+    fn original_replay_error_wins_over_the_ulcp_free_replay_error() {
+        let trace = record(221);
+        let config = PipelineConfig::default();
+        let transformed = Transformer::new(config.transform).transform_from_plan(
+            &trace,
+            &Detector::new(config.detector).plan(&trace, BodyOverlapGain),
+        );
+        let mut discriminating = 0;
+        for max_steps in [1, 2, 4, 8, 16, 32] {
+            let replay = ReplayConfig {
+                max_steps,
+                ..ReplayConfig::default()
+            };
+            let original = Replayer::new(replay)
+                .replay(&trace, ReplaySchedule::elsc())
+                .expect_err("the step limit cuts the original replay short");
+            let free = UlcpFreeReplayer::new(replay)
+                .with_dls(config.use_dls)
+                .replay(&transformed)
+                .expect_err("the step limit cuts the ULCP-free replay short");
+            discriminating += usize::from(free != original);
+            let config = PipelineConfig { replay, ..config };
+            assert_eq!(
+                analyze_plan(&trace, &config).unwrap_err(),
+                PipelineError::Replay(original),
+                "max_steps {max_steps}"
+            );
+        }
+        assert!(
+            discriminating > 0,
+            "both replays failed alike at every limit"
+        );
     }
 
     #[test]

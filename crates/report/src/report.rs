@@ -94,6 +94,29 @@ impl PerfReport {
         original_replay: &ReplayResult,
         ulcp_free_replay: &ReplayResult,
     ) -> Self {
+        Self::assemble(
+            trace,
+            TraceStats::of(trace),
+            breakdown,
+            aggregates,
+            transformed,
+            original_replay,
+            ulcp_free_replay,
+        )
+    }
+
+    /// [`from_aggregates`](Self::from_aggregates) with the trace statistics
+    /// computed elsewhere: the pipeline scans them beside the original-trace
+    /// replay. `trace_stats` must be `TraceStats::of(trace)`.
+    pub(crate) fn assemble(
+        trace: &Trace,
+        trace_stats: TraceStats,
+        breakdown: UlcpBreakdown,
+        aggregates: &SiteAggregates,
+        transformed: &TransformedTrace,
+        original_replay: &ReplayResult,
+        ulcp_free_replay: &ReplayResult,
+    ) -> Self {
         let impact = ImpactSplit::with_total_gain(
             original_replay,
             ulcp_free_replay,
@@ -104,7 +127,7 @@ impl PerfReport {
             program: trace.meta.program.clone(),
             input: trace.meta.input.clone(),
             threads: trace.num_threads(),
-            trace_stats: TraceStats::of(trace),
+            trace_stats,
             breakdown,
             impact,
             recommendations,

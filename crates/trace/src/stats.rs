@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::event::Event;
-use crate::section::extract_critical_sections;
+use crate::ids::LockId;
 use crate::time::Time;
 use crate::trace::Trace;
 
@@ -36,7 +36,14 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Computes statistics for a trace.
+    /// Computes statistics for a trace in one pass over its events.
+    ///
+    /// `critical_sections` pairs acquires and releases exactly as
+    /// [`extract_critical_sections`](crate::extract_critical_sections)
+    /// does: a release closes the innermost open acquire of the same lock
+    /// on its thread, a release with no such acquire closes nothing, and an
+    /// acquire never released is not a section. Only the held-lock stack
+    /// is kept, so counting allocates nothing per section.
     pub fn of(trace: &Trace) -> Self {
         let mut stats = TraceStats {
             threads: trace.num_threads(),
@@ -44,23 +51,33 @@ impl TraceStats {
             ..TraceStats::default()
         };
         let mut sites = std::collections::BTreeSet::new();
-        for (_, _, te) in trace.iter_events() {
-            stats.events += 1;
-            stats.total_compute += te.event.intrinsic_cost();
-            match &te.event {
-                Event::LockAcquire { site, .. } => {
-                    stats.lock_acquisitions += 1;
-                    sites.insert(*site);
+        let mut held: Vec<LockId> = Vec::new();
+        for tt in &trace.threads {
+            held.clear();
+            for te in &tt.events {
+                stats.events += 1;
+                stats.total_compute += te.event.intrinsic_cost();
+                match &te.event {
+                    Event::LockAcquire { lock, site } => {
+                        stats.lock_acquisitions += 1;
+                        sites.insert(*site);
+                        held.push(*lock);
+                    }
+                    Event::LockRelease { lock } => {
+                        if let Some(pos) = held.iter().rposition(|l| l == lock) {
+                            held.remove(pos);
+                            stats.critical_sections += 1;
+                        }
+                    }
+                    Event::Read { .. } => stats.reads += 1,
+                    Event::Write { .. } => stats.writes += 1,
+                    Event::CondWait { .. } => stats.cond_waits += 1,
+                    Event::BarrierWait { .. } => stats.barrier_waits += 1,
+                    _ => {}
                 }
-                Event::Read { .. } => stats.reads += 1,
-                Event::Write { .. } => stats.writes += 1,
-                Event::CondWait { .. } => stats.cond_waits += 1,
-                Event::BarrierWait { .. } => stats.barrier_waits += 1,
-                _ => {}
             }
         }
         stats.static_sites = sites.len();
-        stats.critical_sections = extract_critical_sections(trace).len();
         stats
     }
 }
@@ -69,7 +86,7 @@ impl TraceStats {
 mod tests {
     use super::*;
     use crate::event::WriteOp;
-    use crate::ids::{CodeSiteId, LockId, ObjectId};
+    use crate::ids::{CodeSiteId, ObjectId};
     use crate::trace::TraceMeta;
 
     #[test]
