@@ -1,11 +1,11 @@
 //! Criterion bench: ULCP detection cost, naive snapshot-cloning reference vs
-//! the snapshot-free engine (sequential and parallel), across trace sizes,
-//! plus the production `Detector::plan` path into the site aggregator.
+//! the snapshot-free batch engine, across trace sizes, plus the production
+//! `Detector::plan` path into the site aggregator.
 //!
 //! Set `PERFPLAY_BENCH_FAST=1` for a CI-sized smoke run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use perfplay::prelude::{Detector, DetectorConfig};
+use perfplay::prelude::Detector;
 use perfplay_bench::{detect_bench_config, detect_trace, DetectWorkload};
 use perfplay_detect::{reference_analyze, BodyOverlapGain};
 
@@ -52,13 +52,6 @@ fn bench_detect_scaling(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("optimized_seq", &label), &trace, |b, t| {
             b.iter(|| Detector::new(config).analyze(t).breakdown)
-        });
-        let par = DetectorConfig {
-            parallel: true,
-            ..config
-        };
-        group.bench_with_input(BenchmarkId::new("optimized_par", &label), &trace, |b, t| {
-            b.iter(|| Detector::new(par).analyze(t).breakdown)
         });
         group.bench_with_input(
             BenchmarkId::new("optimized_plan", &label),

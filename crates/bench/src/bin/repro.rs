@@ -3,9 +3,8 @@
 //!
 //! * `repro detect [--quick] [--out PATH]` runs the ULCP-detection scaling
 //!   comparison: the naive snapshot-cloning reference engine vs the optimized
-//!   snapshot-free engine (sequential and parallel) on a large synthetic
-//!   trace, verifies all three produce bit-identical results, and writes
-//!   `BENCH_detect.json`.
+//!   snapshot-free batch engine on a large synthetic trace, verifies both
+//!   produce bit-identical results, and writes `BENCH_detect.json`.
 //! * `repro detect --stream [--quick] [--out PATH]` runs the streaming
 //!   ingestion comparison: the in-memory engine vs the chunk-by-chunk
 //!   streaming engine run inline (`StreamingDetector`) on a >=10M-event
@@ -170,9 +169,7 @@ struct DetectReport {
     record_ms: f64,
     naive_ms: f64,
     optimized_seq_ms: f64,
-    optimized_par_ms: f64,
     speedup_seq: f64,
-    speedup_par: f64,
     results_identical: bool,
     /// Batch engines materialize everything, so the peaks are the totals.
     memory: MemoryReport,
@@ -210,7 +207,7 @@ fn measure(label: &str, runs: usize, mut f: impl FnMut() -> UlcpAnalysis) -> (Re
 /// Compact content digest of an analysis: the exact breakdown and pair/edge
 /// counts, plus an FNV-1a hash over every (first, second, lock, kind) tuple.
 /// Comparing digests lets each engine be timed — and its multi-hundred-MB
-/// result freed — before the next engine runs, so all three see the same
+/// result freed — before the next engine runs, so every engine sees the same
 /// resident heap.
 #[derive(Debug, PartialEq)]
 struct ResultDigest {
@@ -293,16 +290,9 @@ fn run_detect(quick: bool, out: &str) {
     let (seq_digest, optimized_seq_ms) = measure("optimized sequential", runs, || {
         Detector::new(config).analyze(&trace)
     });
-    let par_config = DetectorConfig {
-        parallel: true,
-        ..config
-    };
-    let (par_digest, optimized_par_ms) = measure("optimized parallel", runs, || {
-        Detector::new(par_config).analyze(&trace)
-    });
     let breakdown = seq_digest.breakdown;
 
-    let results_identical = naive_digest == seq_digest && seq_digest == par_digest;
+    let results_identical = naive_digest == seq_digest;
 
     let memory = MemoryReport {
         peak_live_pairs: seq_digest.ulcps + seq_digest.edges,
@@ -321,9 +311,7 @@ fn run_detect(quick: bool, out: &str) {
         record_ms,
         naive_ms,
         optimized_seq_ms,
-        optimized_par_ms,
         speedup_seq: naive_ms / optimized_seq_ms,
-        speedup_par: naive_ms / optimized_par_ms,
         results_identical,
         memory,
         breakdown: (&breakdown).into(),
@@ -335,12 +323,9 @@ fn run_detect(quick: bool, out: &str) {
     // machine-readable record (results_identical: false) instead of nothing.
     assert!(
         results_identical,
-        "optimized engines diverged from the naive reference:\nnaive: {naive_digest:?}\nseq:   {seq_digest:?}\npar:   {par_digest:?}"
+        "optimized engine diverged from the naive reference:\nnaive: {naive_digest:?}\nseq:   {seq_digest:?}"
     );
-    eprintln!(
-        "speedup: {:.1}x sequential, {:.1}x parallel -> {out}",
-        report.speedup_seq, report.speedup_par
-    );
+    eprintln!("speedup: {:.1}x sequential -> {out}", report.speedup_seq);
 }
 
 #[derive(Debug, Serialize)]

@@ -17,8 +17,9 @@
 //! 3. [`refine_conflicting_pair`] implements the reversed-replay check that
 //!    separates benign ULCPs from real conflicts;
 //! 4. [`Detector::analyze`] runs the sequential-search pairing over every
-//!    lock and produces the [`UlcpAnalysis`] (pairs, causal edges, and the
-//!    per-category [`UlcpBreakdown`] that reproduces a row of Table 1).
+//!    lock, one after another on the calling thread, and produces the
+//!    [`UlcpAnalysis`] (pairs, causal edges, and the per-category
+//!    [`UlcpBreakdown`] that reproduces a row of Table 1).
 //!
 //! For traces too large to hold in memory, the streaming engine consumes a
 //! chunked event stream (`perfplay_trace::EventSource`) and produces the
@@ -34,7 +35,10 @@
 //! ```
 //!
 //! At one worker the [`StreamingStats`] peaks are exact; threaded runs
-//! report the worker peaks summed, an upper bound.
+//! report the worker peaks summed, an upper bound. The threaded mode is the
+//! crate's only multi-threaded detection, and its worker count comes from
+//! [`ParallelStreamingDetector::with_workers`]: no engine reads
+//! [`DetectorConfig::parallel`].
 //!
 //! Every engine emits its classified pairs through a [`UlcpSink`]. The
 //! default [`CollectPairs`] sink materializes the historical pair list;

@@ -11,13 +11,11 @@
 //! snapshot per critical section (O(sections x objects) memory), one
 //! [`LastWriteIndex`] is built per trace and the reversed-replay benign check
 //! fetches the footprint values it needs lazily in O(log E) each. Locks are
-//! independent, so [`DetectorConfig::parallel`] fans the per-lock searches
-//! out across OS threads; per-lock results are merged back in ascending lock
-//! order, keeping the output bit-identical to the sequential path.
+//! searched one after another in ascending lock order on the calling thread;
+//! threaded detection is the streaming engine's job
+//! ([`ParallelStreamingDetector`](crate::ParallelStreamingDetector)).
 
 use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use perfplay_trace::{
     extract_critical_sections, sections_by_lock, CriticalSection, LockId, SectionId, Trace,
@@ -132,19 +130,10 @@ pub struct DetectorConfig {
     /// by the cap-th classification is still recorded (the search would have
     /// stopped there anyway); only candidates *beyond* the cap go unseen.
     pub max_scan_per_thread: Option<usize>,
-    /// Fan the independent per-lock searches out across OS threads. Results
-    /// are merged deterministically (ascending lock order, original search
-    /// order within each lock), so output is bit-identical to the
-    /// sequential path.
-    ///
-    /// How each engine composes with this flag:
-    ///
-    /// | entry point | `parallel: false` | `parallel: true` |
-    /// |---|---|---|
-    /// | [`Detector::analyze`] / `analyze_with` | sequential per-lock loop | per-lock work-queue fan-out |
-    /// | [`StreamingDetector::analyze`](crate::StreamingDetector::analyze) (+ `analyze_trace`) | streaming engine, inline on the calling thread | delegates to the threaded [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) (one worker per core) |
-    /// | [`StreamingDetector::analyze_with`](crate::StreamingDetector::analyze_with) (+ `analyze_trace_with`) | streaming engine, inline on the calling thread | [`StreamError::Config`](perfplay_trace::StreamError::Config) — the sink is not required to be `Send`; call the parallel detector directly |
-    /// | [`ParallelStreamingDetector`](crate::ParallelStreamingDetector) | ignored — the worker count comes from the constructor: inline at 1, threaded above | ignored |
+    /// Only resolves the report pipeline's `parallel_streams: 0`: set, that
+    /// means one streaming worker per available core; clear, the inline
+    /// engine. No detector reads it — each engine's worker count comes from
+    /// its constructor.
     pub parallel: bool,
 }
 
@@ -218,18 +207,10 @@ impl Detector {
     }
 
     /// Identifies all ULCPs and causal edges in a recorded trace, emitting
-    /// every pair through the caller's sink.
-    ///
-    /// The sink must be `Send + Sync` because `DetectorConfig::parallel`
-    /// forks one shard per lock across worker threads; shards are absorbed
-    /// back in ascending lock order, so an order-preserving sink sees the
-    /// exact sequential emission order and the output is bit-identical to
-    /// the sequential path.
-    pub fn analyze_with<S: UlcpSink + Send + Sync>(
-        &self,
-        trace: &Trace,
-        mut sink: S,
-    ) -> SinkAnalysis<S> {
+    /// every pair through the caller's sink in the canonical
+    /// `(lock, first, second-thread, second)` order. The scan runs on the
+    /// calling thread, so the sink need not be `Send`.
+    pub fn analyze_with<S: UlcpSink>(&self, trace: &Trace, mut sink: S) -> SinkAnalysis<S> {
         let sections = extract_critical_sections(trace);
         // The index only feeds the reversed-replay benign check; in the
         // ablation mode (`use_reversed_replay: false`) no state is ever
@@ -239,32 +220,19 @@ impl Detector {
         } else {
             LastWriteIndex::default()
         };
-        let by_lock = sections_by_lock(&sections);
-        let locks: Vec<(LockId, Vec<&CriticalSection>)> = by_lock.into_iter().collect();
-
         let mut breakdown = UlcpBreakdown {
             lock_acquisitions: trace.num_acquisitions(),
             ..UlcpBreakdown::default()
         };
-        if self.config.parallel && locks.len() > 1 {
-            // Ascending lock order (BTreeMap order preserved in `locks`);
-            // within a lock the search order itself is deterministic, so the
-            // absorbed output matches the sequential path exactly.
-            for (shard, shard_breakdown) in self.analyze_locks_parallel(&locks, &index, &sink) {
-                sink.absorb(shard);
-                breakdown.merge_pair_counts(&shard_breakdown);
-            }
-        } else {
-            for (lock, lock_sections) in &locks {
-                analyze_lock_into(
-                    *lock,
-                    lock_sections,
-                    &index,
-                    self.config,
-                    &mut sink,
-                    &mut breakdown,
-                );
-            }
+        for (lock, lock_sections) in sections_by_lock(&sections) {
+            analyze_lock_into(
+                lock,
+                &lock_sections,
+                &index,
+                self.config,
+                &mut sink,
+                &mut breakdown,
+            );
         }
         sink.seal(&sections);
 
@@ -273,63 +241,6 @@ impl Detector {
             breakdown,
             sink,
         }
-    }
-
-    /// Fans the per-lock searches out over a shared work queue of lock
-    /// indices. Per-lock cost is wildly skewed on real workloads (one guard
-    /// mutex often dominates), so workers pop the next lock instead of being
-    /// handed a fixed chunk — a hot lock occupies one worker while the rest
-    /// drain the remainder. Each index is processed exactly once, so sorting
-    /// the collected `(index, shard)` pairs restores the deterministic
-    /// ascending-lock order.
-    fn analyze_locks_parallel<S: UlcpSink + Send + Sync>(
-        &self,
-        locks: &[(LockId, Vec<&CriticalSection>)],
-        index: &LastWriteIndex,
-        sink: &S,
-    ) -> Vec<(S, UlcpBreakdown)> {
-        let workers = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(locks.len());
-        let next = AtomicUsize::new(0);
-        let config = self.config;
-        let mut collected: Vec<(usize, S, UlcpBreakdown)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((lock, lock_sections)) = locks.get(i) else {
-                                break;
-                            };
-                            let mut shard = sink.fork();
-                            let mut shard_breakdown = UlcpBreakdown::default();
-                            analyze_lock_into(
-                                *lock,
-                                lock_sections,
-                                index,
-                                config,
-                                &mut shard,
-                                &mut shard_breakdown,
-                            );
-                            local.push((i, shard, shard_breakdown));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("detector worker never panics"))
-                .collect()
-        });
-        collected.sort_unstable_by_key(|entry| entry.0);
-        collected
-            .into_iter()
-            .map(|(_, shard, breakdown)| (shard, breakdown))
-            .collect()
     }
 }
 
@@ -738,80 +649,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn parallel_analysis_is_bit_identical_to_sequential() {
-        let trace = record(|b| {
-            let locks: Vec<_> = (0..4).map(|i| b.lock(format!("l{i}"))).collect();
-            let objs: Vec<_> = (0..4).map(|i| b.shared(format!("o{i}"), 0)).collect();
-            let site = b.site("par.c", "worker", 1);
-            for i in 0..3 {
-                let locks = locks.clone();
-                let objs = objs.clone();
-                b.thread(format!("t{i}"), |t| {
-                    for k in 0..4 {
-                        t.locked(locks[k], site, |cs| {
-                            if k % 2 == 0 {
-                                cs.read(objs[k]);
-                            } else {
-                                cs.write_add(objs[k], 1);
-                            }
-                            cs.compute_ns(30);
-                        });
-                        t.compute_ns(20);
-                    }
-                });
-            }
-        });
-        let sequential = Detector::default().analyze(&trace);
-        let parallel = Detector::new(DetectorConfig {
-            parallel: true,
-            ..DetectorConfig::default()
-        })
-        .analyze(&trace);
-        assert_eq!(sequential.breakdown, parallel.breakdown);
-        assert_eq!(sequential.ulcps, parallel.ulcps);
-        assert_eq!(sequential.edges, parallel.edges);
-        assert_eq!(sequential.sections, parallel.sections);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_a_skewed_hot_lock() {
-        // One guard mutex takes almost every section (the common real-world
-        // shape); the work-queue fan-out must still merge deterministically.
-        let trace = record(|b| {
-            let hot = b.lock("guard");
-            let cold = b.lock("side");
-            let x = b.shared("x", 0);
-            let y = b.shared("y", 0);
-            let site = b.site("skew.c", "worker", 1);
-            for i in 0..3 {
-                b.thread(format!("t{i}"), |t| {
-                    t.loop_n(8, |l| {
-                        l.locked(hot, site, |cs| {
-                            cs.read(x);
-                            if i == 0 {
-                                cs.write_add(x, 1);
-                            }
-                        });
-                        l.compute_ns(15);
-                    });
-                    t.locked(cold, site, |cs| {
-                        cs.read(y);
-                    });
-                });
-            }
-        });
-        let sequential = Detector::default().analyze(&trace);
-        let parallel = Detector::new(DetectorConfig {
-            parallel: true,
-            ..DetectorConfig::default()
-        })
-        .analyze(&trace);
-        assert_eq!(sequential.breakdown, parallel.breakdown);
-        assert_eq!(sequential.ulcps, parallel.ulcps);
-        assert_eq!(sequential.edges, parallel.edges);
     }
 
     #[test]

@@ -53,7 +53,6 @@
 //! so the overwhelming majority of pairs never touch the section bodies.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
@@ -1924,16 +1923,6 @@ pub struct ParallelStreamingDetector {
 }
 
 impl ParallelStreamingDetector {
-    /// Creates a parallel streaming detector with one worker per available
-    /// core. `config.parallel` is irrelevant here — this *is* the parallel
-    /// path.
-    pub fn new(config: DetectorConfig) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(NonZeroUsize::get)
-            .unwrap_or(1);
-        ParallelStreamingDetector { config, workers }
-    }
-
     /// Creates a parallel streaming detector with an explicit worker count
     /// (clamped to at least 1).
     pub fn with_workers(config: DetectorConfig, workers: usize) -> Self {

@@ -23,7 +23,7 @@ use crate::sink::{CollectPairs, SectionCtx, SinkAnalysis, UlcpSink};
 /// Runs ULCP identification with the naive snapshot-per-section strategy.
 ///
 /// Honors `use_reversed_replay` and `max_scan_per_thread` from the config;
-/// the `parallel` flag is ignored (the reference is always sequential).
+/// like every engine, it ignores `parallel`.
 pub fn reference_analyze(trace: &Trace, config: DetectorConfig) -> UlcpAnalysis {
     let SinkAnalysis {
         sections,

@@ -1,11 +1,10 @@
 //! Sink-based pair emission: where detection output goes.
 //!
-//! Every detection engine in this crate — the batch [`Detector`] (sequential
-//! and `DetectorConfig::parallel`), the streaming engine (inline through
-//! [`StreamingDetector`], threaded through [`ParallelStreamingDetector`])
-//! and the naive [`reference_analyze`] — emits each classified pair through
-//! a [`UlcpSink`] instead of pushing into a hard-wired `Vec`. The sink
-//! decides what to keep:
+//! Every detection engine in this crate — the batch [`Detector`], the
+//! streaming engine (inline through [`StreamingDetector`], threaded through
+//! [`ParallelStreamingDetector`]) and the naive [`reference_analyze`] —
+//! emits each classified pair through a [`UlcpSink`] instead of pushing into
+//! a hard-wired `Vec`. The sink decides what to keep:
 //!
 //! * [`CollectPairs`] materializes every [`Ulcp`] and [`CausalEdge`],
 //!   reproducing the historical [`UlcpAnalysis`] bit-for-bit. Memory is
@@ -20,9 +19,9 @@
 //!   restored once, by sorting in [`SiteAggregator::finish`].
 //!
 //! Emission order is engine-specific (the streaming engine emits each lock's
-//! pairs into its own forked lane in per-chunk sweep order, the batch
-//! engines in canonical order); [`UlcpSink::seal`] runs once
-//! at the end of every analysis so order-sensitive sinks can restore the
+//! pairs into its own forked lane in per-chunk sweep order, the batch and
+//! reference engines in canonical order); [`UlcpSink::seal`] runs once at
+//! the end of every analysis so order-sensitive sinks can restore the
 //! canonical `(lock, first, second-thread, second)` order. Order-insensitive
 //! sinks (saturating-add folds are commutative and associative) ignore it.
 //!
@@ -56,10 +55,10 @@ pub struct SectionCtx<'a> {
 ///
 /// Engines call [`emit`](Self::emit) for every ULCP and
 /// [`emit_edge`](Self::emit_edge) for every causal edge (TLCP), then
-/// [`seal`](Self::seal) exactly once when the scan is complete. The parallel
-/// batch engine and the streaming engine (inline and threaded) additionally
-/// build one shard per lock with [`fork`](Self::fork) and merge them back —
-/// in ascending lock order, so the merged output is deterministic — with
+/// [`seal`](Self::seal) exactly once when the scan is complete. The
+/// streaming engine (inline and threaded) additionally builds one shard per
+/// lock with [`fork`](Self::fork) and merges them back — in ascending lock
+/// order, so the merged output is deterministic — with
 /// [`absorb`](Self::absorb). The sink passed to the inline streaming engine
 /// never leaves the calling thread and need not be `Send`.
 pub trait UlcpSink {
@@ -82,7 +81,7 @@ pub trait UlcpSink {
     fn emit_edge(&mut self, edge: CausalEdge, ctx: &SectionCtx<'_>);
 
     /// Creates an empty sink of the same kind (carrying this sink's
-    /// configuration) for one parallel shard.
+    /// configuration) for one per-lock shard.
     fn fork(&self) -> Self
     where
         Self: Sized;
@@ -349,8 +348,9 @@ struct PairCell {
 ///
 /// Counts and gains accumulate with saturating addition, which is commutative
 /// and associative (the result is `min(true sum, u64::MAX)`), so the
-/// aggregate is independent of emission and absorption order — the batch,
-/// parallel and streaming engines all produce the identical table.
+/// aggregate is independent of emission and absorption order — the batch
+/// and streaming engines, inline or threaded, all produce the identical
+/// table.
 #[derive(Debug, Clone, Default)]
 pub struct SiteAggregator<G: GainSource = NoGain> {
     gain: G,

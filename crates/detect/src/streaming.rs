@@ -111,12 +111,9 @@ pub struct StreamingDetector {
 }
 
 impl StreamingDetector {
-    /// Creates a streaming detector with the given configuration. With
-    /// `config.parallel` set, [`analyze`](Self::analyze) (and the
-    /// `analyze_trace` wrapper) delegate to the threaded
-    /// [`ParallelStreamingDetector`] with one worker per core; the
-    /// sink-generic entry points return [`StreamError::Config`] instead
-    /// because they cannot require `S: Send`.
+    /// Creates a streaming detector with the given configuration. It always
+    /// runs inline; threaded streaming is
+    /// [`ParallelStreamingDetector::with_workers`].
     pub fn new(config: DetectorConfig) -> Self {
         StreamingDetector { config }
     }
@@ -133,9 +130,6 @@ impl StreamingDetector {
         &self,
         source: &mut Src,
     ) -> Result<StreamingAnalysis, StreamError> {
-        if self.config.parallel {
-            return ParallelStreamingDetector::new(self.config).analyze(source);
-        }
         ParallelStreamingDetector::with_workers(self.config, 1).analyze(source)
     }
 
@@ -146,24 +140,12 @@ impl StreamingDetector {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`analyze`](Self::analyze). Additionally returns
-    /// [`StreamError::Config`] when `DetectorConfig::parallel` is set: this
-    /// entry point cannot require `S: Send`, so a threaded run with a custom
-    /// sink must go through
-    /// [`ParallelStreamingDetector::analyze_with`].
+    /// Same conditions as [`analyze`](Self::analyze).
     pub fn analyze_with<Src: EventSource, S: UlcpSink>(
         &self,
         source: &mut Src,
         sink: S,
     ) -> Result<StreamingSinkAnalysis<S>, StreamError> {
-        if self.config.parallel {
-            return Err(StreamError::Config(
-                "DetectorConfig::parallel requires a Send sink; use \
-                 ParallelStreamingDetector::analyze_with (or clear `parallel` \
-                 for the inline engine)"
-                    .into(),
-            ));
-        }
         analyze_inline(self.config, source, sink)
     }
 

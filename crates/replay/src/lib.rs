@@ -14,10 +14,10 @@
 //! * [`measure_fidelity`] quantifies performance stability and precision
 //!   across repeated replays (Figure 13).
 //!
-//! Both replayers run on one shared event-driven scheduler core
-//! ([`engine`]): a clock-keyed ready heap plus targeted per-lock /
-//! per-condvar / per-barrier wake lists make each step `O(log T)` in the
-//! thread count, where the historical loops paid `O(T)` per step and woke
+//! Both replayers run on one shared event-driven scheduler core (the
+//! private `engine` module): a clock-keyed ready heap plus targeted
+//! per-lock / per-condvar / per-barrier wake lists make each step
+//! `O(log T)` in the thread count, where the historical loops paid `O(T)` per step and woke
 //! every blocked thread on any progress. Those loops are retained as
 //! executable specifications — [`reference_replay_original`] and
 //! [`reference_replay_free`] — and the optimized engine is proven

@@ -11,12 +11,12 @@
 //! side thread beside detect → transform → ULCP-free replay.
 //!
 //! [`analyze_batch`] is the paper's Table 1 sweep as one call: it analyzes N
-//! recorded traces concurrently — reusing the detector's fork/absorb
-//! work-queue discipline across traces — then fuses the per-trace aggregate
-//! tables with the order-independent saturating merge
-//! ([`SiteAggregates::merge`]) and emits one fused ranked report. Because
-//! the merge is commutative and associative, the fused output is identical
-//! to sequential per-trace analysis followed by an in-order merge.
+//! recorded traces concurrently over a work queue of trace indices, then
+//! fuses the per-trace aggregate tables with the order-independent
+//! saturating merge ([`SiteAggregates::merge`]) and emits one fused ranked
+//! report. Because the merge is commutative and associative, the fused
+//! output is identical to sequential per-trace analysis followed by an
+//! in-order merge.
 
 use std::num::NonZeroUsize;
 use std::panic::{resume_unwind, AssertUnwindSafe};
@@ -149,8 +149,7 @@ pub struct PipelineConfig {
     /// When set, detection streams the trace chunk-by-chunk with this chunk
     /// size (bounded pairing state) through the streaming engine, with the
     /// worker count [`stream_workers`](Self::stream_workers) resolves; when
-    /// `None`, the batch engine runs (honouring
-    /// [`DetectorConfig::parallel`]).
+    /// `None`, the batch engine's sequential per-lock loop runs.
     pub chunk_events: Option<usize>,
     /// Worker count for streaming detection (with `chunk_events` set, and
     /// for [`analyze_chunk_files`]): `0` follows [`DetectorConfig::parallel`]
@@ -213,6 +212,7 @@ impl PipelineConfig {
     /// The resolved streaming worker count: `Some(n)` means threaded
     /// streaming detection with `n` workers, `None` means the inline engine
     /// on the calling thread ([`StreamingDetector`]).
+    /// [`DetectorConfig::parallel`] is read here and nowhere else.
     pub fn stream_workers(&self) -> Option<usize> {
         match self.parallel_streams {
             0 => self.detector.parallel.then(|| {
@@ -261,7 +261,7 @@ pub struct PlanAnalysis {
 ///
 /// Returns [`PipelineError`] if a replay fails or the chunked stream is
 /// malformed (the in-memory adapter never is).
-pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
+pub fn analyze_plan_with<G: GainSource + Clone + Send>(
     trace: &Trace,
     config: &PipelineConfig,
     gain: G,
@@ -324,7 +324,7 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send + Sync>(
 /// The calling thread's half of [`analyze_plan_with`] up to the ULCP-free
 /// replay: detection, transformation and, when enabled, the schedule
 /// preflight.
-fn plan_and_transform<G: GainSource + Clone + Send + Sync>(
+fn plan_and_transform<G: GainSource + Clone + Send>(
     trace: &Trace,
     config: &PipelineConfig,
     gain: G,
@@ -335,11 +335,11 @@ fn plan_and_transform<G: GainSource + Clone + Send + Sync>(
             let streamed = match config.stream_workers() {
                 Some(workers) => ParallelStreamingDetector::with_workers(config.detector, workers)
                     .analyze_trace_with(trace, chunk_events, sink)?,
-                None => StreamingDetector::new(DetectorConfig {
-                    parallel: false,
-                    ..config.detector
-                })
-                .analyze_trace_with(trace, chunk_events, sink)?,
+                None => StreamingDetector::new(config.detector).analyze_trace_with(
+                    trace,
+                    chunk_events,
+                    sink,
+                )?,
             };
             let (plan, stats) = DetectionPlan::from_streaming(streamed);
             (plan, Some(stats))
@@ -413,12 +413,12 @@ impl BatchAnalysis {
 }
 
 /// Analyzes N recorded traces and fuses their results into one ranked
-/// report, running the per-trace pipelines concurrently over a work queue
-/// (the same pop-the-next-unit discipline `DetectorConfig::parallel` uses
-/// across locks, lifted to whole traces). Results are re-ordered by input
-/// index and the aggregate merge is order-independent, so the output is
-/// bit-identical to analyzing the traces sequentially and merging in order —
-/// which [`analyze_batch_sequential`] does, as the executable spec.
+/// report, running the per-trace pipelines concurrently over a work queue:
+/// each worker pops the next trace index until none is left. Results are
+/// re-ordered by input index and the aggregate merge is order-independent,
+/// so the output is bit-identical to analyzing the traces sequentially and
+/// merging in order — which [`analyze_batch_sequential`] does, as the
+/// executable spec.
 ///
 /// A failing trace — replay error, malformed stream, or a panic anywhere in
 /// its pipeline (isolated with `catch_unwind`) — becomes one
@@ -588,11 +588,7 @@ pub fn analyze_chunk_files<P: AsRef<Path>>(
                 }
                 None => {
                     let mut reader = ChunkFileReader::with_policy(&path, policy)?;
-                    StreamingDetector::new(DetectorConfig {
-                        parallel: false,
-                        ..config.detector
-                    })
-                    .analyze_with(&mut reader, sink)?
+                    StreamingDetector::new(config.detector).analyze_with(&mut reader, sink)?
                 }
             };
             let (plan, stats) = DetectionPlan::from_streaming(streamed);
@@ -676,6 +672,30 @@ mod tests {
         assert_eq!(single.report, two_pass);
         assert_eq!(single.original_replay, original);
         assert_eq!(single.ulcp_free_replay, free);
+    }
+
+    #[test]
+    fn stream_workers_resolves_parallel_streams_and_the_parallel_flag() {
+        let resolve = |parallel_streams, parallel| {
+            PipelineConfig {
+                parallel_streams,
+                detector: DetectorConfig {
+                    parallel,
+                    ..DetectorConfig::default()
+                },
+                ..PipelineConfig::default()
+            }
+            .stream_workers()
+        };
+        let cores = std::thread::available_parallelism().unwrap().get();
+        assert_eq!(resolve(0, false), None);
+        assert_eq!(resolve(0, true), Some(cores));
+        for parallel in [false, true] {
+            assert_eq!(resolve(1, parallel), None);
+            for n in [2, 3, 16] {
+                assert_eq!(resolve(n, parallel), Some(n));
+            }
+        }
     }
 
     #[test]

@@ -97,7 +97,7 @@ fn pair_path_groups<G: GainSource>(
     )
 }
 
-fn assert_aggregates_match<G: GainSource + Clone + Send + Sync>(
+fn assert_aggregates_match<G: GainSource + Clone + Send>(
     trace: &Trace,
     config: DetectorConfig,
     gain: G,
@@ -126,14 +126,8 @@ fn assert_aggregates_match<G: GainSource + Clone + Send + Sync>(
 
     // The streaming engine, inline and threaded, folds into the identical
     // table regardless of chunking (its emission order differs; saturating
-    // folds commute). The sink-generic inline entry point requires
-    // `parallel` cleared (it returns `StreamError::Config` otherwise); the
-    // threaded engine is exercised regardless of the flag, which it ignores.
-    let sequential = DetectorConfig {
-        parallel: false,
-        ..config
-    };
-    let streamed = StreamingDetector::new(sequential)
+    // folds commute). Neither engine reads `parallel`.
+    let streamed = StreamingDetector::new(config)
         .analyze_trace_with(trace, 7, SiteAggregator::new(gain.clone()))
         .unwrap();
     prop_assert_eq!(streamed.breakdown, analysis.breakdown);

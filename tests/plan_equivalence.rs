@@ -91,14 +91,6 @@ proptest! {
             &expected,
         )?;
 
-        // Parallel fan-out produces the identical plan.
-        let parallel = Detector::new(DetectorConfig {
-            parallel: true,
-            ..config
-        })
-        .plan(&trace, BodyOverlapGain);
-        prop_assert_eq!(&parallel, &plan);
-
         // The streaming engine, inline and threaded, at an arbitrary chunk
         // size produces the identical plan.
         let streamed = StreamingDetector::new(config)

@@ -38,27 +38,18 @@ fn detector_configs() -> Vec<DetectorConfig> {
     configs
 }
 
-/// `Detector::analyze`, sequential and `parallel: true`, against
-/// `reference_analyze`: breakdown, pairs, edges and sections.
+/// `Detector::analyze` against `reference_analyze`: breakdown, pairs, edges
+/// and sections.
 fn assert_detector_matches_reference(
     trace: &Trace,
     det_config: DetectorConfig,
 ) -> Result<(), TestCaseError> {
     let reference = perfplay_detect::reference_analyze(trace, det_config);
     let sequential = Detector::new(det_config).analyze(trace);
-    let parallel = Detector::new(DetectorConfig {
-        parallel: true,
-        ..det_config
-    })
-    .analyze(trace);
     prop_assert_eq!(&reference.breakdown, &sequential.breakdown);
     prop_assert_eq!(&reference.ulcps, &sequential.ulcps);
     prop_assert_eq!(&reference.edges, &sequential.edges);
     prop_assert_eq!(&reference.sections, &sequential.sections);
-    prop_assert_eq!(&sequential.breakdown, &parallel.breakdown);
-    prop_assert_eq!(&sequential.ulcps, &parallel.ulcps);
-    prop_assert_eq!(&sequential.edges, &parallel.edges);
-    prop_assert_eq!(&sequential.sections, &parallel.sections);
     Ok(())
 }
 

@@ -18,20 +18,15 @@ fn record(seed: u64, config: &GeneratorConfig) -> Trace {
 }
 
 /// Runs every engine with a `CollectPairs` and a `SiteAggregator` sink and
-/// asserts full agreement: identical pair lists across the batch
-/// (sequential and parallel), reference and streaming (inline and threaded)
-/// engines, and one identical aggregate table from all of them.
+/// asserts full agreement: identical pair lists across the batch,
+/// reference and streaming (inline and threaded) engines, and one identical
+/// aggregate table from all of them.
 fn assert_all_engines_agree(
     trace: &Trace,
     config: DetectorConfig,
     chunk_events: usize,
 ) -> Result<(), TestCaseError> {
     let sequential = Detector::new(config).analyze(trace);
-    let parallel = Detector::new(DetectorConfig {
-        parallel: true,
-        ..config
-    })
-    .analyze(trace);
     let reference = reference_analyze(trace, config);
     let streamed = StreamingDetector::new(config)
         .analyze_trace(trace, chunk_events)
@@ -40,17 +35,11 @@ fn assert_all_engines_agree(
         .analyze_trace(trace, chunk_events)
         .unwrap();
 
-    for other in [&parallel, &streamed.analysis, &threaded.analysis] {
+    for other in [&sequential, &streamed.analysis, &threaded.analysis] {
         prop_assert_eq!(&reference.ulcps, &other.ulcps);
         prop_assert_eq!(&reference.edges, &other.edges);
         prop_assert_eq!(&reference.breakdown, &other.breakdown);
         prop_assert_eq!(&reference.sections, &other.sections);
-    }
-    for other in [&parallel, &reference, &streamed.analysis] {
-        prop_assert_eq!(&sequential.ulcps, &other.ulcps);
-        prop_assert_eq!(&sequential.edges, &other.edges);
-        prop_assert_eq!(&sequential.breakdown, &other.breakdown);
-        prop_assert_eq!(&sequential.sections, &other.sections);
     }
 
     let gain = BodyOverlapGain;
@@ -58,13 +47,6 @@ fn assert_all_engines_agree(
         .analyze_with(trace, SiteAggregator::new(gain))
         .sink
         .finish();
-    let parallel_agg = Detector::new(DetectorConfig {
-        parallel: true,
-        ..config
-    })
-    .analyze_with(trace, SiteAggregator::new(gain))
-    .sink
-    .finish();
     let streamed_agg = StreamingDetector::new(config)
         .analyze_trace_with(trace, chunk_events, SiteAggregator::new(gain))
         .unwrap()
@@ -79,7 +61,6 @@ fn assert_all_engines_agree(
         .sink
         .finish();
     prop_assert_eq!(&batch_agg, &reference_agg);
-    prop_assert_eq!(&batch_agg, &parallel_agg);
     prop_assert_eq!(&batch_agg, &streamed_agg);
     prop_assert_eq!(&batch_agg, &threaded_agg);
     prop_assert_eq!(batch_agg.total_pairs() as usize, sequential.ulcps.len());

@@ -10,7 +10,10 @@ use proptest::prelude::*;
 use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_detect::reference_analyze;
-use perfplay_trace::{read_chunked_trace, ChunkFileReader, RecoveryPolicy, StreamError, Trace};
+use perfplay_trace::{
+    read_chunked_trace, ChunkFileReader, CriticalSection, RecoveryPolicy, SectionId, StreamError,
+    Trace,
+};
 
 fn generator_config() -> impl Strategy<Value = GeneratorConfig> {
     (2usize..5, 1usize..4, 2usize..6, 4u32..14).prop_map(
@@ -313,13 +316,52 @@ fn parallel_streaming_matches_sequential_over_gapped_streams() {
     std::fs::remove_file(&clean).ok();
 }
 
-/// The documented `DetectorConfig::parallel` × streaming matrix: the plain
-/// entry points route the flag to the threaded engine (output identical to
-/// the batch engine), and the sink-generic inline entry points reject it
-/// with a structured [`StreamError::Config`] instead of silently ignoring
-/// it.
+/// A `CollectPairs` that also holds an `Rc`, so it is not `Send`: only an
+/// engine that keeps the sink on the calling thread can accept it.
+#[derive(Debug, Default)]
+struct LocalSink {
+    pairs: CollectPairs,
+    _not_send: std::rc::Rc<()>,
+}
+
+impl UlcpSink for LocalSink {
+    fn emit(&mut self, ulcp: Ulcp, ctx: &SectionCtx<'_>) {
+        self.pairs.emit(ulcp, ctx);
+    }
+
+    fn emit_edge(&mut self, edge: perfplay_detect::CausalEdge, ctx: &SectionCtx<'_>) {
+        self.pairs.emit_edge(edge, ctx);
+    }
+
+    fn fork(&self) -> Self {
+        LocalSink {
+            pairs: self.pairs.fork(),
+            _not_send: self._not_send.clone(),
+        }
+    }
+
+    fn absorb(&mut self, shard: Self) {
+        self.pairs.absorb(shard.pairs);
+    }
+
+    fn remap_sections(&mut self, remap: &[Option<SectionId>]) {
+        self.pairs.remap_sections(remap);
+    }
+
+    fn seal(&mut self, sections: &[CriticalSection]) {
+        self.pairs.seal(sections);
+    }
+
+    fn resident_entries(&self) -> usize {
+        self.pairs.resident_entries()
+    }
+}
+
+/// `StreamingDetector` is the inline engine whatever `DetectorConfig::parallel`
+/// says: `analyze` equals the batch engine, and `analyze_with` accepts a
+/// sink that is not `Send` and yields the same pairs.
 #[test]
-fn parallel_flag_routes_or_errors_per_the_documented_matrix() {
+fn streaming_detector_stays_inline_under_the_parallel_flag() {
     let trace = record(
         31,
         &GeneratorConfig {
@@ -329,32 +371,20 @@ fn parallel_flag_routes_or_errors_per_the_documented_matrix() {
             sections_per_thread: 8,
         },
     );
-    let flagged = DetectorConfig {
+    let flagged = StreamingDetector::new(DetectorConfig {
         parallel: true,
         ..DetectorConfig::default()
-    };
-
-    // `analyze` delegates to the threaded engine; flagged or not, the
-    // result is the batch engine's.
+    });
     let batch = Detector::default().analyze(&trace);
-    let routed = StreamingDetector::new(flagged)
-        .analyze_trace(&trace, 32)
-        .unwrap();
-    let inline = StreamingDetector::new(DetectorConfig::default())
-        .analyze_trace(&trace, 32)
-        .unwrap();
-    assert_eq!(routed.analysis, batch);
-    assert_eq!(inline.analysis, batch);
+    assert_eq!(flagged.analyze_trace(&trace, 32).unwrap().analysis, batch);
 
-    // The sink-generic path cannot promise `Send`, so the flag is a
-    // structured config error there — not a silent inline run.
-    let err = StreamingDetector::new(flagged)
-        .analyze_trace_with(&trace, 32, perfplay_detect::CollectPairs::default())
-        .expect_err("parallel + analyze_with must be rejected");
-    assert!(
-        matches!(err, StreamError::Config(_)),
-        "expected StreamError::Config, got {err:?}"
-    );
+    let local = flagged
+        .analyze_trace_with(&trace, 32, LocalSink::default())
+        .unwrap();
+    assert_eq!(local.sections, batch.sections);
+    assert_eq!(local.breakdown, batch.breakdown);
+    assert_eq!(local.sink.pairs.ulcps, batch.ulcps);
+    assert_eq!(local.sink.pairs.edges, batch.edges);
 }
 
 /// Spills a small trace to a chunk file and returns its path and lines.
