@@ -67,7 +67,7 @@ fn bench_pipeline_scaling(c: &mut Criterion) {
             b.iter(|| {
                 let detector = Detector::new(config.detector);
                 let analysis = detector.analyze(t);
-                let transformed = Transformer::default().transform(t, &analysis);
+                let transformed = Transformer::default().transform(t, &analysis).into_owned();
                 drop(analysis);
                 let original = Replayer::default()
                     .replay(t, ReplaySchedule::elsc())

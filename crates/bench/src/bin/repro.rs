@@ -1541,7 +1541,9 @@ fn pipeline_comparison(quick: bool) -> PipelineComparison {
     eprintln!("  detect (pairs): {detect_pairs_ms:.0}ms");
     let materialized_pairs = analysis.ulcps.len() + analysis.edges.len();
     let total_sections = analysis.sections.len();
-    let (transformed, tp_transform_ms) = time_ms(|| transformer.transform(&trace, &analysis));
+    // Owned, so the analysis can go before the replays.
+    let (transformed, tp_transform_ms) =
+        time_ms(|| transformer.transform(&trace, &analysis).into_owned());
     eprintln!("  transform: {tp_transform_ms:.0}ms");
     // The pair list has served its only two-pass purpose (transform); drop
     // it before the replays so both flows replay under the same heap.

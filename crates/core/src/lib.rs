@@ -265,8 +265,9 @@ pub struct Analysis {
     pub recording_timing: Option<ExecutionTiming>,
     /// ULCP identification results.
     pub ulcps: UlcpAnalysis,
-    /// The ULCP-free transformed trace.
-    pub transformed: TransformedTrace,
+    /// The ULCP-free transformed trace, detached from the trace and section
+    /// table it was computed over (an owned copy of both).
+    pub transformed: TransformedTrace<'static>,
     /// Replay of the original trace (ELSC by default).
     pub original_replay: ReplayResult,
     /// Replay of the ULCP-free trace.
@@ -336,6 +337,7 @@ impl PerfPlay {
             &original_replay,
             &ulcp_free_replay,
         );
+        let transformed = transformed.into_owned();
         Ok(Analysis {
             trace: trace.clone(),
             recording_timing: None,

@@ -136,7 +136,8 @@ pub(crate) fn build_sync_deps(trace: &Trace) -> SyncDeps {
 }
 
 /// Lookup from lock acquire / release event positions to the critical
-/// section they delimit.
+/// section they delimit, as the reference ULCP-free loop keeps it (the
+/// engine's policy uses a dense per-thread table instead).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct SectionIndex {
     pub by_acquire: BTreeMap<EventRef, SectionId>,

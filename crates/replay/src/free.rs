@@ -22,10 +22,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use perfplay_trace::{AuxLockId, LockId, SectionId, Time};
+use perfplay_trace::{AuxLockId, Event, LockId, SectionId, Time};
 use perfplay_transform::{dynamic_lockset, TransformedTrace};
 
-use crate::common::{build_section_index, ReplayConfig, SectionIndex};
+use crate::common::ReplayConfig;
 use crate::engine::{Engine, EngineCore, ReplayPolicy, Step, WaitChannel};
 use crate::result::{ReplayError, ReplayResult};
 
@@ -74,40 +74,90 @@ impl UlcpFreeReplayer {
     }
 }
 
+/// Marks an event that delimits no section in [`UlcpFree::section_at`].
+const NO_SECTION: u32 = u32::MAX;
+
+/// Whether `section` has finished, given the per-section finish times.
+fn is_finished(finish: &[Option<Time>], section: SectionId) -> bool {
+    matches!(finish.get(section.index()), Some(Some(_)))
+}
+
 /// RULE 2/3/4 lockset admission over the transformation plan.
 pub(crate) struct UlcpFree<'a> {
-    tt: &'a TransformedTrace,
+    tt: &'a TransformedTrace<'a>,
     use_dls: bool,
-    sections: SectionIndex,
+    /// `section_at[thread][event]`: the section whose lock acquire or
+    /// release that event is, or [`NO_SECTION`].
+    section_at: Vec<Vec<u32>>,
     constraints: BTreeMap<SectionId, Vec<SectionId>>,
-    aux_holder: BTreeMap<AuxLockId, SectionId>,
-    aux_free_since: BTreeMap<AuxLockId, Time>,
+    /// Per auxiliary lock: whether a section holds it, and since when it is
+    /// free.
+    aux_held: Vec<bool>,
+    aux_free_since: Vec<Time>,
     section_locks: BTreeMap<SectionId, BTreeSet<AuxLockId>>,
-    finished: BTreeSet<SectionId>,
-    finish_times: BTreeMap<SectionId, Time>,
+    /// Completion time of every finished section, by section index.
+    finish: Vec<Option<Time>>,
     lockset_ops: u64,
     lockset_overhead: Time,
 }
 
 impl<'a> UlcpFree<'a> {
-    pub(crate) fn new(use_dls: bool, tt: &'a TransformedTrace) -> Self {
-        let sections = build_section_index(&tt.sections);
+    pub(crate) fn new(use_dls: bool, tt: &'a TransformedTrace<'a>) -> Self {
+        // A section names its events by position. Positions outside the
+        // trace, or on an event of the wrong kind, delimit nothing — a
+        // hand-built or corrupt table entry is never matched, and never
+        // indexes past a row.
+        let trace = &tt.original;
+        let mut section_at: Vec<Vec<u32>> = trace
+            .threads
+            .iter()
+            .map(|t| vec![NO_SECTION; t.events.len()])
+            .collect();
+        for s in tt.sections.iter().filter(|s| s.id.index() < tt.plan.len()) {
+            let (Some(row), Some(thread)) = (
+                section_at.get_mut(s.thread.index()),
+                trace.threads.get(s.thread.index()),
+            ) else {
+                continue;
+            };
+            let event = |i: usize| thread.events.get(i).map(|te| &te.event);
+            if let Some(Event::LockAcquire { .. }) = event(s.acquire_index) {
+                row[s.acquire_index] = s.id.index() as u32;
+            }
+            if let Some(Event::LockRelease { .. }) = event(s.release_index) {
+                row[s.release_index] = s.id.index() as u32;
+            }
+        }
         let mut constraints: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
         for c in &tt.order_constraints {
             constraints.entry(c.after).or_default().push(c.before);
         }
+        let aux_locks = tt
+            .plan
+            .iter()
+            .filter_map(|n| n.lockset.last())
+            .map(|l| l.index() + 1)
+            .max()
+            .unwrap_or(0);
         UlcpFree {
             tt,
             use_dls,
-            sections,
+            section_at,
             constraints,
-            aux_holder: BTreeMap::new(),
-            aux_free_since: BTreeMap::new(),
+            aux_held: vec![false; aux_locks],
+            aux_free_since: vec![Time::ZERO; aux_locks],
             section_locks: BTreeMap::new(),
-            finished: BTreeSet::new(),
-            finish_times: BTreeMap::new(),
+            finish: vec![None; tt.plan.len()],
             lockset_ops: 0,
             lockset_overhead: Time::ZERO,
+        }
+    }
+
+    /// The section whose acquire or release is event `idx` of thread `ti`.
+    fn section_at(&self, ti: usize, idx: usize) -> Option<SectionId> {
+        match self.section_at[ti][idx] {
+            NO_SECTION => None,
+            sid => Some(SectionId::new(sid)),
         }
     }
 }
@@ -122,7 +172,7 @@ impl ReplayPolicy for UlcpFree<'_> {
             return Step::Blocked;
         };
 
-        let Some(&sid) = self.sections.by_acquire.get(&(ti, idx)) else {
+        let Some(sid) = self.section_at(ti, idx) else {
             core.complete(ti, idx, clock.max(dep_time));
             return Step::Completed;
         };
@@ -143,8 +193,8 @@ impl ReplayPolicy for UlcpFree<'_> {
         let mut order_time = Time::ZERO;
         if let Some(befores) = self.constraints.get(&sid) {
             for before in befores {
-                match self.finish_times.get(before) {
-                    Some(t) => order_time = order_time.max(*t),
+                match self.finish.get(before.index()).copied().flatten() {
+                    Some(t) => order_time = order_time.max(t),
                     None => {
                         core.block_on(ti, [WaitChannel::SectionDone(*before)]);
                         return Step::Blocked;
@@ -155,18 +205,17 @@ impl ReplayPolicy for UlcpFree<'_> {
 
         // RULE 3/4: take the (possibly DLS-pruned) lockset atomically.
         let lockset = if self.use_dls {
-            dynamic_lockset(node, &self.tt.plan, &self.finished)
+            dynamic_lockset(node, &self.tt.plan, |s| is_finished(&self.finish, s))
         } else {
             node.lockset.clone()
         };
         let mut lockset_free_time = Time::ZERO;
         let mut any_held = false;
         for lock in &lockset {
-            if self.aux_holder.contains_key(lock) {
+            if self.aux_held[lock.index()] {
                 any_held = true;
             } else {
-                lockset_free_time = lockset_free_time
-                    .max(self.aux_free_since.get(lock).copied().unwrap_or(Time::ZERO));
+                lockset_free_time = lockset_free_time.max(self.aux_free_since[lock.index()]);
             }
         }
         if any_held {
@@ -175,12 +224,12 @@ impl ReplayPolicy for UlcpFree<'_> {
             // lockset entirely).
             let held = lockset
                 .iter()
-                .filter(|l| self.aux_holder.contains_key(l))
+                .filter(|l| self.aux_held[l.index()])
                 .map(|l| WaitChannel::AuxLock(*l));
             let prunes = node
                 .sources
                 .iter()
-                .filter(|s| self.use_dls && !self.finished.contains(s))
+                .filter(|s| self.use_dls && !is_finished(&self.finish, **s))
                 .map(|s| WaitChannel::SectionDone(*s));
             core.block_on(ti, held.chain(prunes));
             return Step::Blocked;
@@ -202,7 +251,7 @@ impl ReplayPolicy for UlcpFree<'_> {
         self.lockset_overhead += op_cost + dls_cost;
 
         for lock in &lockset {
-            self.aux_holder.insert(*lock, sid);
+            self.aux_held[lock.index()] = true;
         }
         self.section_locks.insert(sid, lockset);
         core.complete(ti, idx, completion);
@@ -211,14 +260,13 @@ impl ReplayPolicy for UlcpFree<'_> {
 
     fn on_release(&mut self, core: &mut EngineCore, ti: usize, idx: usize, _lock: LockId) -> Step {
         let clock = core.threads[ti].clock;
-        let Some(&sid) = self.sections.by_release.get(&(ti, idx)) else {
+        let Some(sid) = self.section_at(ti, idx) else {
             core.complete(ti, idx, clock);
             return Step::Completed;
         };
         let node = self.tt.node(sid);
         if node.strip_lock {
-            self.finished.insert(sid);
-            self.finish_times.insert(sid, clock);
+            self.finish[sid.index()] = Some(clock);
             core.complete(ti, idx, clock);
             core.notify(WaitChannel::SectionDone(sid));
             return Step::Completed;
@@ -230,11 +278,10 @@ impl ReplayPolicy for UlcpFree<'_> {
         self.lockset_ops += held.len() as u64;
         self.lockset_overhead += op_cost;
         for lock in &held {
-            self.aux_holder.remove(lock);
-            self.aux_free_since.insert(*lock, completion);
+            self.aux_held[lock.index()] = false;
+            self.aux_free_since[lock.index()] = completion;
         }
-        self.finished.insert(sid);
-        self.finish_times.insert(sid, completion);
+        self.finish[sid.index()] = Some(completion);
         core.complete(ti, idx, completion);
         for lock in &held {
             core.notify(WaitChannel::AuxLock(*lock));
@@ -253,15 +300,15 @@ mod tests {
     use super::*;
     use crate::original::Replayer;
     use crate::schedule::ReplaySchedule;
-    use perfplay_detect::Detector;
+    use perfplay_detect::{Detector, UlcpAnalysis};
     use perfplay_program::ProgramBuilder;
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
     use perfplay_transform::Transformer;
 
-    fn pipeline(
-        build: impl FnOnce(&mut ProgramBuilder),
-    ) -> (perfplay_trace::Trace, TransformedTrace) {
+    /// Records and analyzes the workload; the caller transforms, since the
+    /// transformed trace borrows both.
+    fn pipeline(build: impl FnOnce(&mut ProgramBuilder)) -> (perfplay_trace::Trace, UlcpAnalysis) {
         let mut b = ProgramBuilder::new("free-replay-test");
         build(&mut b);
         let trace = Recorder::new(SimConfig::default())
@@ -269,8 +316,7 @@ mod tests {
             .unwrap()
             .trace;
         let analysis = Detector::default().analyze(&trace);
-        let tt = Transformer::default().transform(&trace, &analysis);
-        (trace, tt)
+        (trace, analysis)
     }
 
     fn read_heavy(threads: usize, iters: u32) -> impl FnOnce(&mut ProgramBuilder) {
@@ -294,7 +340,8 @@ mod tests {
 
     #[test]
     fn ulcp_free_replay_is_faster_for_read_heavy_contention() {
-        let (trace, tt) = pipeline(read_heavy(4, 10));
+        let (trace, analysis) = pipeline(read_heavy(4, 10));
+        let tt = Transformer::default().transform(&trace, &analysis);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -311,7 +358,7 @@ mod tests {
 
     #[test]
     fn true_contention_is_preserved_by_the_transformation() {
-        let (trace, tt) = pipeline(|b| {
+        let (trace, analysis) = pipeline(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site = b.site("tc.c", "writer", 1);
@@ -328,6 +375,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -342,7 +390,7 @@ mod tests {
 
     #[test]
     fn order_constraints_keep_causal_sections_in_original_order() {
-        let (_, tt) = pipeline(|b| {
+        let (trace, analysis) = pipeline(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site = b.site("oc.c", "writer", 1);
@@ -358,6 +406,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         let free = UlcpFreeReplayer::default().replay(&tt).unwrap();
         for c in &tt.order_constraints {
             let before = &tt.sections[c.before.index()];
@@ -375,7 +424,7 @@ mod tests {
 
     #[test]
     fn dls_reduces_lockset_operations_and_overhead() {
-        let (_, tt) = pipeline(|b| {
+        let (trace, analysis) = pipeline(|b| {
             // Writers with gaps between them: by the time a later section
             // starts, its causal sources have usually finished, so DLS can
             // skip their auxiliary locks.
@@ -394,6 +443,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         let with_dls = UlcpFreeReplayer::default().replay(&tt).unwrap();
         let without_dls = UlcpFreeReplayer::default()
             .with_dls(false)
@@ -406,7 +456,8 @@ mod tests {
 
     #[test]
     fn free_replay_is_deterministic() {
-        let (_, tt) = pipeline(read_heavy(3, 6));
+        let (trace, analysis) = pipeline(read_heavy(3, 6));
+        let tt = Transformer::default().transform(&trace, &analysis);
         let r1 = UlcpFreeReplayer::default().replay(&tt).unwrap();
         let r2 = UlcpFreeReplayer::default().replay(&tt).unwrap();
         assert_eq!(r1, r2);
@@ -414,7 +465,7 @@ mod tests {
 
     #[test]
     fn null_lock_sections_cost_nothing_in_the_free_replay() {
-        let (trace, tt) = pipeline(|b| {
+        let (trace, analysis) = pipeline(|b| {
             let lock = b.lock("m");
             let _x = b.shared("x", 0);
             let site = b.site("nl.c", "empty", 1);
@@ -427,6 +478,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         let original = Replayer::default()
             .replay(&trace, ReplaySchedule::elsc())
             .unwrap();
@@ -438,7 +490,7 @@ mod tests {
 
     #[test]
     fn condvar_traces_replay_without_sticking() {
-        let (_, tt) = pipeline(|b| {
+        let (trace, analysis) = pipeline(|b| {
             let lock = b.lock("m");
             let cv = b.condvar("cv");
             let flag = b.shared("flag", 0);
@@ -458,7 +510,57 @@ mod tests {
                 });
             });
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         let free = UlcpFreeReplayer::default().replay(&tt).unwrap();
         assert!(free.per_thread[0].finish_time >= Time::from_micros(4));
+    }
+
+    #[test]
+    fn out_of_range_section_positions_are_never_matched() {
+        // Writers keep their sections (and auxiliary locks), so a section
+        // that can never release strands the threads queued behind it.
+        let (trace, analysis) = pipeline(|b| {
+            let lock = b.lock("m");
+            let x = b.shared("x", 0);
+            let site = b.site("oor.c", "writer", 1);
+            for i in 0..3 {
+                b.thread(format!("t{i}"), |t| {
+                    t.loop_n(3, |l| {
+                        l.locked(lock, site, |cs| {
+                            let v = cs.read_into(x);
+                            cs.write_add(x, 1);
+                            let _ = v;
+                        });
+                    });
+                });
+            }
+        });
+        let tt = Transformer::default().transform(&trace, &analysis);
+        assert!(tt.plan.iter().any(|n| !n.strip_lock));
+        let config = ReplayConfig::default();
+        let mut stuck = 0;
+        for victim in 0..tt.sections.len() {
+            let mut sections = tt.sections.to_vec();
+            let events = trace.threads[sections[victim].thread.index()].events.len();
+            sections[victim].release_index = events;
+            let hostile = TransformedTrace {
+                sections: sections.into(),
+                ..tt.clone()
+            };
+            // The position is skipped exactly as the reference's map lookup
+            // misses it: same result, success or located error, no panic.
+            for use_dls in [false, true] {
+                let replayed = UlcpFreeReplayer::new(config)
+                    .with_dls(use_dls)
+                    .replay(&hostile);
+                assert_eq!(
+                    replayed,
+                    crate::reference_replay_free(&config, use_dls, &hostile),
+                    "section {victim}, dls {use_dls}"
+                );
+                stuck += usize::from(replayed.is_err());
+            }
+        }
+        assert!(stuck > 0, "some unreleased section must strand a waiter");
     }
 }

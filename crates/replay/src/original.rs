@@ -94,25 +94,43 @@ pub(crate) struct OriginalOrder {
 }
 
 impl OriginalOrder {
+    /// Builds the admission tables `schedule` reads, and only those: the
+    /// per-lock grant order under ELSC-S and MEM-S, the ticket order under
+    /// SYNC-S, and the global memory-access order under MEM-S.
     pub(crate) fn new(schedule: ReplaySchedule, trace: &Trace) -> Self {
-        let sync_order = sync_order_of(trace);
-        let sync_owner = sync_order
-            .iter()
-            .map(|(&(_, ti), &pos)| (pos, ti))
-            .collect();
-        let mem_refs = mem_order_of(trace);
-        let mem_owner: Vec<usize> = mem_refs.iter().map(|r| r.0).collect();
-        let mem_order = mem_refs
-            .into_iter()
-            .enumerate()
-            .map(|(pos, r)| (r, pos))
-            .collect();
+        let kind = schedule.kind;
+        let elsc_order = match kind {
+            ScheduleKind::ElscS | ScheduleKind::MemS => elsc_order_of(trace),
+            ScheduleKind::SyncS | ScheduleKind::OrigS => BTreeMap::new(),
+        };
+        let (sync_order, sync_owner) = if kind == ScheduleKind::SyncS {
+            let sync_order = sync_order_of(trace);
+            let sync_owner = sync_order
+                .iter()
+                .map(|(&(_, ti), &pos)| (pos, ti))
+                .collect();
+            (sync_order, sync_owner)
+        } else {
+            (BTreeMap::new(), BTreeMap::new())
+        };
+        let (mem_order, mem_owner) = if kind == ScheduleKind::MemS {
+            let mem_refs = mem_order_of(trace);
+            let mem_owner = mem_refs.iter().map(|r| r.0).collect();
+            let mem_order = mem_refs
+                .into_iter()
+                .enumerate()
+                .map(|(pos, r)| (r, pos))
+                .collect();
+            (mem_order, mem_owner)
+        } else {
+            (BTreeMap::new(), Vec::new())
+        };
         OriginalOrder {
             schedule,
             holder: BTreeMap::new(),
             last_holder: BTreeMap::new(),
             free_since: BTreeMap::new(),
-            elsc_order: elsc_order_of(trace),
+            elsc_order,
             elsc_next: BTreeMap::new(),
             sync_order,
             sync_owner,

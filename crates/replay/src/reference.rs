@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use perfplay_trace::{AuxLockId, Event, LockId, SectionId, Time, Trace};
+use perfplay_trace::{AuxLockId, Event, LockGrant, LockId, SectionId, Time, Trace};
 use perfplay_transform::{dynamic_lockset, TransformedTrace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -118,15 +118,25 @@ struct RefOriginal<'a> {
 }
 
 /// ELSC: projects the recorded total grant order onto each lock.
+///
+/// The recorder emits the schedule in `seq` order, and then it is walked in
+/// place. Otherwise the grants are visited through a stably sorted index
+/// permutation, so grants with equal `seq` keep their recorded order.
 pub(crate) fn elsc_order_of(trace: &Trace) -> BTreeMap<LockId, Vec<EventRef>> {
+    let schedule = &trace.lock_schedule;
     let mut elsc_order: BTreeMap<LockId, Vec<EventRef>> = BTreeMap::new();
-    let mut schedule_entries = trace.lock_schedule.clone();
-    schedule_entries.sort_by_key(|g| g.seq);
-    for g in &schedule_entries {
+    let mut push = |g: &LockGrant| {
         elsc_order
             .entry(g.lock)
             .or_default()
             .push((g.thread.index(), g.event_index));
+    };
+    if schedule.is_sorted_by_key(|g| g.seq) {
+        schedule.iter().for_each(&mut push);
+    } else {
+        let mut order: Vec<usize> = (0..schedule.len()).collect();
+        order.sort_by_key(|&i| schedule[i].seq);
+        order.into_iter().for_each(|i| push(&schedule[i]));
     }
     elsc_order
 }
@@ -523,7 +533,7 @@ pub fn reference_replay_free(
 struct RefFree<'a> {
     config: ReplayConfig,
     use_dls: bool,
-    tt: &'a TransformedTrace,
+    tt: &'a TransformedTrace<'a>,
     deps: SyncDeps,
     sections: SectionIndex,
     constraints: BTreeMap<SectionId, Vec<SectionId>>,
@@ -540,7 +550,7 @@ struct RefFree<'a> {
 }
 
 impl<'a> RefFree<'a> {
-    fn new(config: &ReplayConfig, use_dls: bool, tt: &'a TransformedTrace) -> Self {
+    fn new(config: &ReplayConfig, use_dls: bool, tt: &'a TransformedTrace<'a>) -> Self {
         let deps = build_sync_deps(&tt.original);
         let sections = build_section_index(&tt.sections);
         let mut constraints: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
@@ -747,7 +757,7 @@ impl<'a> RefFree<'a> {
 
         // RULE 3/4: take the (possibly DLS-pruned) lockset atomically.
         let lockset = if self.use_dls {
-            dynamic_lockset(node, &self.tt.plan, &self.finished)
+            dynamic_lockset(node, &self.tt.plan, |s| self.finished.contains(&s))
         } else {
             node.lockset.clone()
         };
@@ -881,5 +891,18 @@ mod tests {
         assert!(mem
             .iter()
             .all(|&(ti, ei)| trace.threads[ti].events[ei].event.is_memory_access()));
+    }
+
+    #[test]
+    fn elsc_order_ignores_the_schedule_storage_order() {
+        let mut trace = contended_trace(3, 4);
+        let recorded = elsc_order_of(&trace);
+        assert!(trace.lock_schedule.is_sorted_by_key(|g| g.seq));
+        // A deterministic shuffle: reverse, then rotate.
+        trace.lock_schedule.reverse();
+        let mid = trace.lock_schedule.len() / 3;
+        trace.lock_schedule.rotate_left(mid);
+        assert!(!trace.lock_schedule.is_sorted_by_key(|g| g.seq));
+        assert_eq!(elsc_order_of(&trace), recorded);
     }
 }

@@ -40,7 +40,7 @@ use perfplay_replay::{
 use perfplay_trace::{
     ChunkFileReader, PipelinedChunkReader, RecoveryPolicy, StreamError, Trace, TraceStats,
 };
-use perfplay_transform::{TransformConfig, TransformedTrace, Transformer};
+use perfplay_transform::{TransformConfig, TransformStats, Transformer};
 
 use crate::fusion::{fuse_aggregates, rank_groups, Recommendation};
 use crate::report::PerfReport;
@@ -227,8 +227,9 @@ impl PipelineConfig {
 }
 
 /// Everything one single-pass pipeline run produced. The transformed trace
-/// (which clones the original event log) is not kept: it lives until the
-/// report is built, and its statistics live on in `report.transform_stats`.
+/// (which borrows the trace and the plan's section table) is not kept: it is
+/// dropped once the ULCP-free replay is done, and its statistics live on in
+/// `report.transform_stats`.
 #[derive(Debug, Clone)]
 pub struct PlanAnalysis {
     /// The compact detection output that drove transform, replay and report.
@@ -285,17 +286,12 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send>(
         // ULCP-free replay ranks after the original replay, so its own
         // outcome is held apart until that one is known.
         let main = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            plan_and_transform(trace, config, gain).map(|(plan, streaming, transformed)| {
-                let free = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    UlcpFreeReplayer::new(config.replay)
-                        .with_dls(config.use_dls)
-                        .replay(&transformed)
-                }));
-                (plan, streaming, transformed, free)
-            })
+            let (plan, streaming) = detect(trace, config, gain)?;
+            let (transform_stats, free) = transform_and_replay(trace, config, &plan)?;
+            Ok::<_, PipelineError>((plan, streaming, transform_stats, free))
         }));
         let side = side.join();
-        let (plan, streaming, transformed, free) = main.unwrap_or_else(|p| resume_unwind(p))?;
+        let (plan, streaming, transform_stats, free) = main.unwrap_or_else(|p| resume_unwind(p))?;
         let (original, trace_stats) = side.unwrap_or_else(|p| resume_unwind(p));
         let original_replay = original?;
         let ulcp_free_replay = free.unwrap_or_else(|p| resume_unwind(p))?;
@@ -304,7 +300,7 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send>(
             trace_stats,
             plan.breakdown,
             &plan.aggregates,
-            &transformed,
+            transform_stats,
             &original_replay,
             &ulcp_free_replay,
         );
@@ -321,15 +317,14 @@ pub fn analyze_plan_with<G: GainSource + Clone + Send>(
     })
 }
 
-/// The calling thread's half of [`analyze_plan_with`] up to the ULCP-free
-/// replay: detection, transformation and, when enabled, the schedule
-/// preflight.
-fn plan_and_transform<G: GainSource + Clone + Send>(
+/// Detection, the first stage of the calling thread's half of
+/// [`analyze_plan_with`]: batch, or streamed when `chunk_events` is set.
+fn detect<G: GainSource + Clone + Send>(
     trace: &Trace,
     config: &PipelineConfig,
     gain: G,
-) -> Result<(DetectionPlan, Option<StreamingStats>, TransformedTrace), PipelineError> {
-    let (plan, streaming) = match config.chunk_events {
+) -> Result<(DetectionPlan, Option<StreamingStats>), PipelineError> {
+    Ok(match config.chunk_events {
         Some(chunk_events) => {
             let sink = PlanAggregator::new(gain);
             let streamed = match config.stream_workers() {
@@ -345,9 +340,24 @@ fn plan_and_transform<G: GainSource + Clone + Send>(
             (plan, Some(stats))
         }
         None => (Detector::new(config.detector).plan(trace, gain), None),
-    };
+    })
+}
 
-    let transformed = Transformer::new(config.transform).transform_from_plan(trace, &plan);
+/// The ULCP-free replay's outcome with its panic, if any, caught.
+type FreeReplayOutcome = std::thread::Result<Result<ReplayResult, ReplayError>>;
+
+/// The rest of the calling thread's half of [`analyze_plan_with`]:
+/// transformation, the schedule preflight when enabled, and the ULCP-free
+/// replay. The transformed trace borrows `trace` and the plan's sections and
+/// is dropped here; only its statistics are kept. The replay's own outcome,
+/// panic included, is held apart because it ranks after the original
+/// replay's.
+fn transform_and_replay(
+    trace: &Trace,
+    config: &PipelineConfig,
+    plan: &DetectionPlan,
+) -> Result<(TransformStats, FreeReplayOutcome), PipelineError> {
+    let transformed = Transformer::new(config.transform).transform_from_plan(trace, plan);
     if config.preflight {
         // A transform-introduced lock-order inversion (RULEs 2–4) is caught
         // here as a wait-graph cycle instead of as a stuck ULCP-free replay.
@@ -356,7 +366,12 @@ fn plan_and_transform<G: GainSource + Clone + Send>(
             return Err(PipelineError::Preflight(schedule_errors));
         }
     }
-    Ok((plan, streaming, transformed))
+    let free = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        UlcpFreeReplayer::new(config.replay)
+            .with_dls(config.use_dls)
+            .replay(&transformed)
+    }));
+    Ok((transformed.stats(), free))
 }
 
 /// Runs the single-pass pipeline with the default detection-time gain proxy
@@ -926,10 +941,8 @@ mod tests {
     fn original_replay_error_wins_over_the_ulcp_free_replay_error() {
         let trace = record(221);
         let config = PipelineConfig::default();
-        let transformed = Transformer::new(config.transform).transform_from_plan(
-            &trace,
-            &Detector::new(config.detector).plan(&trace, BodyOverlapGain),
-        );
+        let plan = Detector::new(config.detector).plan(&trace, BodyOverlapGain);
+        let transformed = Transformer::new(config.transform).transform_from_plan(&trace, &plan);
         let mut discriminating = 0;
         for max_steps in [1, 2, 4, 8, 16, 32] {
             let replay = ReplayConfig {

@@ -99,21 +99,24 @@ impl PerfReport {
             TraceStats::of(trace),
             breakdown,
             aggregates,
-            transformed,
+            transformed.stats(),
             original_replay,
             ulcp_free_replay,
         )
     }
 
     /// [`from_aggregates`](Self::from_aggregates) with the trace statistics
-    /// computed elsewhere: the pipeline scans them beside the original-trace
-    /// replay. `trace_stats` must be `TraceStats::of(trace)`.
+    /// computed elsewhere and only the statistics of the transformation: the
+    /// pipeline scans the trace beside the original-trace replay and drops
+    /// the transformed trace once the ULCP-free replay is done.
+    /// `trace_stats` must be `TraceStats::of(trace)` and `transform_stats`
+    /// the transformed trace's [`stats`](TransformedTrace::stats).
     pub(crate) fn assemble(
         trace: &Trace,
         trace_stats: TraceStats,
         breakdown: UlcpBreakdown,
         aggregates: &SiteAggregates,
-        transformed: &TransformedTrace,
+        transform_stats: TransformStats,
         original_replay: &ReplayResult,
         ulcp_free_replay: &ReplayResult,
     ) -> Self {
@@ -131,8 +134,8 @@ impl PerfReport {
             breakdown,
             impact,
             recommendations,
-            race_warnings: transformed.race_warnings.len(),
-            transform_stats: transformed.stats(),
+            race_warnings: transform_stats.race_warnings,
+            transform_stats,
             lockset_overhead_fraction: ulcp_free_replay.lockset_overhead_fraction(),
             stream_gaps: 0,
             stream_events_lost: 0,

@@ -19,13 +19,12 @@
 //! refinement: a node may drop the auxiliary lock of any source node that has
 //! already finished, which [`NodeSync::sources`] makes possible.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 use perfplay_detect::{CausalEdge, DetectionPlan, UlcpAnalysis, UlcpKind};
 use perfplay_trace::{AuxLockId, CriticalSection, LockId, SectionId, Trace};
 use serde::{Deserialize, Serialize};
-
-use crate::topology::Topology;
 
 /// How one critical section is synchronized in the ULCP-free trace.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -103,13 +102,18 @@ pub struct TransformStats {
 
 /// The ULCP-free trace: the original events plus the new synchronization
 /// plan that the replayer enforces instead of the original locks.
+///
+/// The trace and the section table are borrowed from what the
+/// transformation ran over (the recorded trace and the detection output), so
+/// building one copies neither; [`into_owned`](Self::into_owned) detaches
+/// the result for callers that must outlive them.
 #[derive(Debug, Clone)]
-pub struct TransformedTrace {
+pub struct TransformedTrace<'a> {
     /// The original recorded trace (events are not modified; the plan
     /// reinterprets its lock acquire/release events).
-    pub original: Trace,
+    pub original: Cow<'a, Trace>,
     /// Every dynamic critical section of the original trace.
-    pub sections: Vec<CriticalSection>,
+    pub sections: Cow<'a, [CriticalSection]>,
     /// Synchronization plan per section, indexed by [`SectionId::index`].
     pub plan: Vec<NodeSync>,
     /// RULE 2 ordering constraints.
@@ -120,29 +124,45 @@ pub struct TransformedTrace {
     pub num_aux_locks: usize,
 }
 
-impl TransformedTrace {
+impl TransformedTrace<'_> {
     /// Returns the plan entry for a section.
     pub fn node(&self, id: SectionId) -> &NodeSync {
         &self.plan[id.index()]
     }
 
+    /// Copies the borrowed trace and section table, so the result no longer
+    /// borrows from its inputs.
+    pub fn into_owned(self) -> TransformedTrace<'static> {
+        TransformedTrace {
+            original: Cow::Owned(self.original.into_owned()),
+            sections: Cow::Owned(self.sections.into_owned()),
+            plan: self.plan,
+            order_constraints: self.order_constraints,
+            race_warnings: self.race_warnings,
+            num_aux_locks: self.num_aux_locks,
+        }
+    }
+
     /// Computes summary statistics.
     pub fn stats(&self) -> TransformStats {
-        let kept: Vec<&NodeSync> = self.plan.iter().filter(|n| !n.strip_lock).collect();
-        let lockset_sizes: Vec<usize> = kept.iter().map(|n| n.static_lockset_size()).collect();
-        let mean_lockset = if lockset_sizes.is_empty() {
-            0.0
-        } else {
-            lockset_sizes.iter().sum::<usize>() as f64 / lockset_sizes.len() as f64
-        };
+        let (mut kept, mut lockset_sum, mut max_lockset) = (0usize, 0usize, 0usize);
+        for n in self.plan.iter().filter(|n| !n.strip_lock) {
+            kept += 1;
+            lockset_sum += n.static_lockset_size();
+            max_lockset = max_lockset.max(n.static_lockset_size());
+        }
         TransformStats {
             nodes: self.plan.len(),
             aux_locks: self.num_aux_locks,
-            stripped_sections: self.plan.iter().filter(|n| n.strip_lock).count(),
+            stripped_sections: self.plan.len() - kept,
             order_constraints: self.order_constraints.len(),
             race_warnings: self.race_warnings.len(),
-            max_lockset: lockset_sizes.iter().copied().max().unwrap_or(0),
-            mean_lockset,
+            max_lockset,
+            mean_lockset: if kept == 0 {
+                0.0
+            } else {
+                lockset_sum as f64 / kept as f64
+            },
         }
     }
 }
@@ -164,6 +184,9 @@ impl Default for TransformConfig {
 }
 
 /// PerfPlay's ULCP transformation stage (Section 3 of the paper).
+///
+/// Both entry points return a [`TransformedTrace`] that borrows the trace
+/// and the section table it was given.
 #[derive(Debug, Clone, Default)]
 pub struct Transformer {
     config: TransformConfig,
@@ -176,7 +199,11 @@ impl Transformer {
     }
 
     /// Transforms the recorded trace into its ULCP-free counterpart.
-    pub fn transform(&self, trace: &Trace, analysis: &UlcpAnalysis) -> TransformedTrace {
+    pub fn transform<'a>(
+        &self,
+        trace: &'a Trace,
+        analysis: &'a UlcpAnalysis,
+    ) -> TransformedTrace<'a> {
         // Theorem 1: benign ULCPs become parallel although they touch the
         // same data; report them as potential races.
         let race_warnings = analysis
@@ -189,12 +216,7 @@ impl Transformer {
                 lock: u.lock,
             })
             .collect();
-        self.transform_parts(
-            trace,
-            analysis.sections.clone(),
-            &analysis.edges,
-            race_warnings,
-        )
+        self.transform_parts(trace, &analysis.sections, &analysis.edges, race_warnings)
     }
 
     /// Transforms the recorded trace from a single-pass [`DetectionPlan`] —
@@ -203,7 +225,15 @@ impl Transformer {
     /// [`transform`](Self::transform) over the materialized analysis of the
     /// same trace: the plan retains the causal edges and benign pairs in the
     /// exact canonical order the analysis lists them.
-    pub fn transform_from_plan(&self, trace: &Trace, plan: &DetectionPlan) -> TransformedTrace {
+    ///
+    /// The plan's section table must be dense (`sections[i].id.index() ==
+    /// i`), which [`DetectionPlan::validate`] checks for a plan of untrusted
+    /// provenance.
+    pub fn transform_from_plan<'a>(
+        &self,
+        trace: &'a Trace,
+        plan: &'a DetectionPlan,
+    ) -> TransformedTrace<'a> {
         let race_warnings = plan
             .benign
             .iter()
@@ -213,58 +243,85 @@ impl Transformer {
                 lock: u.lock,
             })
             .collect();
-        self.transform_parts(trace, plan.sections.clone(), &plan.edges, race_warnings)
+        self.transform_parts(trace, &plan.sections, &plan.edges, race_warnings)
     }
 
-    /// The shared RULE 1–4 core both entry points feed.
-    fn transform_parts(
+    /// The shared RULE 1–4 core both entry points feed. Sections are dense
+    /// (`sections[i].id.index() == i`), so every per-node table is a `Vec`
+    /// indexed by section.
+    fn transform_parts<'a>(
         &self,
-        trace: &Trace,
-        sections: Vec<CriticalSection>,
+        trace: &'a Trace,
+        sections: &'a [CriticalSection],
         edges: &[CausalEdge],
         race_warnings: Vec<RaceWarning>,
-    ) -> TransformedTrace {
-        let topology = Topology::from_parts(&sections, edges);
-
-        // RULE 3: assign auxiliary locks to nodes with outgoing causal edges.
-        let mut aux_locks: BTreeMap<SectionId, AuxLockId> = BTreeMap::new();
-        for &node in topology.nodes() {
-            if topology.out_degree(node) > 0 {
-                let id = AuxLockId::new(aux_locks.len() as u32);
-                aux_locks.insert(node, id);
+    ) -> TransformedTrace<'a> {
+        // RULE 1: the causal topology as degrees plus the incoming edges'
+        // sources, grouped per node in edge order (`sources_start[i]..
+        // sources_start[i + 1]` indexes `sources_by_node`). An endpoint
+        // outside the section table (a plan that fails
+        // `DetectionPlan::validate`) names no node: it gets no degree and no
+        // auxiliary lock, but stays listed as a source.
+        let n = sections.len();
+        let mut out_degree = vec![0u32; n];
+        let mut sources_start = vec![0usize; n + 1];
+        for e in edges {
+            if let Some(out) = out_degree.get_mut(e.from.index()) {
+                *out += 1;
+            }
+            if let Some(count) = sources_start.get_mut(e.to.index() + 1) {
+                *count += 1;
             }
         }
+        for i in 0..n {
+            sources_start[i + 1] += sources_start[i];
+        }
+        let mut fill = sources_start.clone();
+        let mut sources_by_node = vec![SectionId::new(0); sources_start[n]];
+        for e in edges.iter().filter(|e| e.to.index() < n) {
+            let slot = &mut fill[e.to.index()];
+            sources_by_node[*slot] = e.from;
+            *slot += 1;
+        }
+        let sources_of = |i: usize| &sources_by_node[sources_start[i]..sources_start[i + 1]];
 
-        // Null-locks: sections with no shared access at all.
-        let null_sections: BTreeSet<SectionId> = sections
+        // RULE 3: auxiliary locks for nodes with outgoing causal edges,
+        // numbered in section order.
+        let mut num_aux_locks = 0u32;
+        let aux_lock: Vec<Option<AuxLockId>> = out_degree
             .iter()
-            .filter(|s| s.is_access_free())
-            .map(|s| s.id)
+            .map(|&out| {
+                (out > 0).then(|| {
+                    num_aux_locks += 1;
+                    AuxLockId::new(num_aux_locks - 1)
+                })
+            })
             .collect();
-        let standalone: BTreeSet<SectionId> = topology.standalone_nodes().into_iter().collect();
 
         let plan: Vec<NodeSync> = sections
             .iter()
-            .map(|s| {
-                let own = aux_locks.get(&s.id).copied();
-                let sources: Vec<SectionId> = topology.sources_of(s.id).to_vec();
-                let mut lockset: BTreeSet<AuxLockId> = BTreeSet::new();
-                if let Some(l) = own {
-                    lockset.insert(l);
-                }
-                for src in &sources {
-                    if let Some(l) = aux_locks.get(src) {
-                        lockset.insert(*l);
-                    }
-                }
-                let strip_lock = self.config.strip_unneeded_locks
-                    && (null_sections.contains(&s.id) || standalone.contains(&s.id));
+            .enumerate()
+            .map(|(i, s)| {
+                let own = aux_lock[i];
+                let sources = sources_of(i);
+                let lockset: BTreeSet<AuxLockId> = own
+                    .into_iter()
+                    .chain(
+                        sources
+                            .iter()
+                            .filter_map(|src| aux_lock.get(src.index()).copied().flatten()),
+                    )
+                    .collect();
+                // Null-locks (no shared access at all) and standalone nodes
+                // (no causal edge either way) lose their lock events.
+                let standalone = out_degree[i] == 0 && sources.is_empty();
                 NodeSync {
                     section: s.id,
                     aux_lock: own,
                     lockset,
-                    sources,
-                    strip_lock,
+                    sources: sources.to_vec(),
+                    strip_lock: self.config.strip_unneeded_locks
+                        && (s.is_access_free() || standalone),
                 }
             })
             .collect();
@@ -273,10 +330,9 @@ impl Transformer {
         // original partial order, expressed as consecutive constraints along
         // the timing order.
         let mut order_constraints = Vec::new();
-        let causal = topology.causal_nodes();
         let mut per_lock: BTreeMap<LockId, Vec<&CriticalSection>> = BTreeMap::new();
-        for s in &sections {
-            if causal.contains(&s.id) {
+        for (i, s) in sections.iter().enumerate() {
+            if out_degree[i] > 0 || !sources_of(i).is_empty() {
                 per_lock.entry(s.lock).or_default().push(s);
             }
         }
@@ -292,27 +348,27 @@ impl Transformer {
         }
 
         TransformedTrace {
-            original: trace.clone(),
-            sections,
+            original: Cow::Borrowed(trace),
+            sections: Cow::Borrowed(sections),
             plan,
             order_constraints,
             race_warnings,
-            num_aux_locks: aux_locks.len(),
+            num_aux_locks: num_aux_locks as usize,
         }
     }
 }
 
-/// The dynamic locking strategy (Figure 9): given the set of sections that
-/// have already finished at the time a node starts, returns the locks the
-/// node still has to take.
+/// The dynamic locking strategy (Figure 9): given which sections have
+/// already finished at the time a node starts, returns the locks the node
+/// still has to take.
 pub fn dynamic_lockset(
     node: &NodeSync,
     plan: &[NodeSync],
-    finished: &BTreeSet<SectionId>,
+    is_finished: impl Fn(SectionId) -> bool,
 ) -> BTreeSet<AuxLockId> {
     let mut lockset = node.lockset.clone();
-    for src in &node.sources {
-        if finished.contains(src) {
+    for &src in &node.sources {
+        if is_finished(src) {
             if let Some(lock) = plan[src.index()].aux_lock {
                 lockset.remove(&lock);
             }
@@ -329,7 +385,11 @@ mod tests {
     use perfplay_record::Recorder;
     use perfplay_sim::SimConfig;
 
-    fn transformed(build: impl FnOnce(&mut ProgramBuilder)) -> (TransformedTrace, UlcpAnalysis) {
+    use crate::reference::Topology;
+
+    /// Records the workload and analyzes it; the caller transforms, since
+    /// the transformed trace borrows both.
+    fn analyzed(build: impl FnOnce(&mut ProgramBuilder)) -> (Trace, UlcpAnalysis) {
         let mut b = ProgramBuilder::new("plan-test");
         build(&mut b);
         let trace = Recorder::new(SimConfig::default())
@@ -337,8 +397,7 @@ mod tests {
             .unwrap()
             .trace;
         let analysis = Detector::default().analyze(&trace);
-        let transformed = Transformer::default().transform(&trace, &analysis);
-        (transformed, analysis)
+        (trace, analysis)
     }
 
     fn figure7_workload(b: &mut ProgramBuilder) {
@@ -384,7 +443,8 @@ mod tests {
 
     #[test]
     fn rule3_assigns_aux_locks_to_out_degree_nodes() {
-        let (tt, analysis) = transformed(figure7_workload);
+        let (trace, analysis) = analyzed(figure7_workload);
+        let tt = Transformer::default().transform(&trace, &analysis);
         let topo = Topology::from_analysis(&analysis);
         for node in &tt.plan {
             if topo.out_degree(node.section) > 0 {
@@ -412,7 +472,8 @@ mod tests {
 
     #[test]
     fn rule4_mutual_exclusion_follows_lockset_intersection() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, analysis) = analyzed(figure7_workload);
+        let tt = Transformer::default().transform(&trace, &analysis);
         for e in tt
             .order_constraints
             .iter()
@@ -437,7 +498,8 @@ mod tests {
 
     #[test]
     fn rule2_orders_causal_nodes_by_original_timing() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, analysis) = analyzed(figure7_workload);
+        let tt = Transformer::default().transform(&trace, &analysis);
         for c in &tt.order_constraints {
             let before = &tt.sections[c.before.index()];
             let after = &tt.sections[c.after.index()];
@@ -448,7 +510,7 @@ mod tests {
 
     #[test]
     fn null_and_standalone_sections_are_stripped() {
-        let (tt, analysis) = transformed(|b| {
+        let (trace, analysis) = analyzed(|b| {
             let lock = b.lock("m");
             let x = b.shared("x", 0);
             let site_null = b.site("n.c", "null", 1);
@@ -464,6 +526,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         // No conflicts at all: every node is standalone, everything stripped.
         assert!(analysis.edges.is_empty());
         assert!(tt.plan.iter().all(|n| n.strip_lock));
@@ -498,7 +561,7 @@ mod tests {
 
     #[test]
     fn benign_pairs_are_reported_as_race_warnings() {
-        let (tt, analysis) = transformed(|b| {
+        let (trace, analysis) = analyzed(|b| {
             let lock = b.lock("m");
             let flag = b.shared("done", 0);
             let site = b.site("bw.c", "set_done", 1);
@@ -510,6 +573,7 @@ mod tests {
                 });
             }
         });
+        let tt = Transformer::default().transform(&trace, &analysis);
         assert_eq!(analysis.breakdown.benign, 1);
         assert_eq!(tt.race_warnings.len(), 1);
         assert_eq!(tt.stats().race_warnings, 1);
@@ -517,7 +581,8 @@ mod tests {
 
     #[test]
     fn dynamic_lockset_drops_finished_sources() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, analysis) = analyzed(figure7_workload);
+        let tt = Transformer::default().transform(&trace, &analysis);
         // Find a node with at least one source that owns an auxiliary lock.
         let Some(node) = tt.plan.iter().find(|n| {
             n.sources
@@ -526,15 +591,42 @@ mod tests {
         }) else {
             panic!("expected at least one node with a locked source");
         };
-        let full = dynamic_lockset(node, &tt.plan, &BTreeSet::new());
+        let full = dynamic_lockset(node, &tt.plan, |_| false);
         assert_eq!(full, node.lockset);
         let finished: BTreeSet<SectionId> = node.sources.iter().copied().collect();
-        let pruned = dynamic_lockset(node, &tt.plan, &finished);
+        let pruned = dynamic_lockset(node, &tt.plan, |s| finished.contains(&s));
         assert!(pruned.len() < full.len());
         // Its own lock, if any, is never dropped.
         if let Some(own) = node.aux_lock {
             assert!(pruned.contains(&own));
         }
+    }
+
+    #[test]
+    fn edges_outside_the_section_table_match_the_reference() {
+        let (trace, mut analysis) = analyzed(figure7_workload);
+        let n = analysis.sections.len() as u32;
+        let lock = analysis.sections[0].lock;
+        let (inside, outside) = (SectionId::new(n - 1), SectionId::new(n + 7));
+        analysis.edges.extend([
+            CausalEdge {
+                from: outside,
+                to: inside,
+                lock,
+            },
+            CausalEdge {
+                from: inside,
+                to: outside,
+                lock,
+            },
+        ]);
+        let config = TransformConfig::default();
+        let tt = Transformer::new(config).transform(&trace, &analysis);
+        let expected = crate::reference_transform(config, &trace, &analysis);
+        assert_eq!(tt.plan, expected.plan);
+        assert_eq!(tt.order_constraints, expected.order_constraints);
+        assert_eq!(tt.num_aux_locks, expected.num_aux_locks);
+        assert!(tt.node(inside).sources.contains(&outside));
     }
 
     #[test]
@@ -560,7 +652,8 @@ mod tests {
 
     #[test]
     fn stats_summarize_the_plan() {
-        let (tt, _) = transformed(figure7_workload);
+        let (trace, analysis) = analyzed(figure7_workload);
+        let tt = Transformer::default().transform(&trace, &analysis);
         let stats = tt.stats();
         assert_eq!(stats.nodes, tt.plan.len());
         assert_eq!(stats.aux_locks, tt.num_aux_locks);

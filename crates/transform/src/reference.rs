@@ -1,14 +1,23 @@
-//! The causal-order topology (RULE 1).
+//! The naive RULE 1–4 builder kept as an executable specification.
 //!
-//! Nodes are dynamic critical sections; edges are the causal dependencies
-//! retained from true lock contention pairs. ULCPs contribute *no* edge —
-//! that is exactly what makes the transformed trace free of unnecessary
-//! serialization.
+//! This is the historical implementation of [`Transformer::transform`]: it
+//! builds the causal-order [`Topology`] of RULE 1 as `BTreeMap` adjacency
+//! lists, assigns RULE 3 auxiliary locks through a `BTreeMap`, and collects
+//! the null-lock, standalone and causal node sets as `BTreeSet`s before
+//! deriving each node's synchronization. The dense production core in
+//! [`plan`](crate::Transformer) must produce bit-identical plans, RULE 2
+//! constraints, race warnings and auxiliary-lock counts — the root
+//! `plan_equivalence` suite compares the two on random workloads.
+//!
+//! [`Transformer::transform`]: crate::Transformer::transform
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use perfplay_detect::{CausalEdge, UlcpAnalysis};
-use perfplay_trace::SectionId;
+use perfplay_detect::{CausalEdge, UlcpAnalysis, UlcpKind};
+use perfplay_trace::{AuxLockId, CriticalSection, LockId, SectionId, Trace};
+
+use crate::plan::{NodeSync, OrderConstraint, RaceWarning, TransformConfig, TransformedTrace};
 
 /// The ULCP-free causal-order topology built by RULE 1.
 #[derive(Debug, Clone, Default)]
@@ -26,12 +35,11 @@ impl Topology {
         Self::from_parts(&analysis.sections, &analysis.edges)
     }
 
-    /// Builds the topology from a section table and an edge list directly —
-    /// the entry point for plan-driven transformation, where no
-    /// [`UlcpAnalysis`] ever exists. Edge order is preserved (it determines
-    /// the adjacency-list order downstream), so callers must pass edges in
-    /// the canonical detection order for bit-identical output.
-    pub fn from_parts(sections: &[perfplay_trace::CriticalSection], edges: &[CausalEdge]) -> Self {
+    /// Builds the topology from a section table and an edge list directly.
+    /// Edge order is preserved (it determines the adjacency-list order
+    /// downstream), so callers must pass edges in the canonical detection
+    /// order for bit-identical output.
+    pub fn from_parts(sections: &[CriticalSection], edges: &[CausalEdge]) -> Self {
         let nodes = sections.iter().map(|s| s.id).collect();
         let mut outgoing: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
         let mut incoming: BTreeMap<SectionId, Vec<SectionId>> = BTreeMap::new();
@@ -102,6 +110,112 @@ impl Topology {
     /// edge goes from an earlier section id to a later one).
     pub fn is_acyclic(&self) -> bool {
         self.edges.iter().all(|e| e.from < e.to)
+    }
+}
+
+/// Transforms the recorded trace into its ULCP-free counterpart the naive
+/// way: RULE 1's [`Topology`], then RULES 2–4 over `BTreeMap`/`BTreeSet`
+/// lookups per node.
+///
+/// The result must equal [`Transformer::transform`] (and
+/// [`Transformer::transform_from_plan`] over the same trace's plan) field for
+/// field.
+///
+/// [`Transformer::transform`]: crate::Transformer::transform
+/// [`Transformer::transform_from_plan`]: crate::Transformer::transform_from_plan
+pub fn reference_transform<'a>(
+    config: TransformConfig,
+    trace: &'a Trace,
+    analysis: &'a UlcpAnalysis,
+) -> TransformedTrace<'a> {
+    let sections = &analysis.sections;
+    let topology = Topology::from_analysis(analysis);
+
+    // RULE 3: assign auxiliary locks to nodes with outgoing causal edges.
+    let mut aux_locks: BTreeMap<SectionId, AuxLockId> = BTreeMap::new();
+    for &node in topology.nodes() {
+        if topology.out_degree(node) > 0 {
+            let id = AuxLockId::new(aux_locks.len() as u32);
+            aux_locks.insert(node, id);
+        }
+    }
+
+    // Null-locks: sections with no shared access at all.
+    let null_sections: BTreeSet<SectionId> = sections
+        .iter()
+        .filter(|s| s.is_access_free())
+        .map(|s| s.id)
+        .collect();
+    let standalone: BTreeSet<SectionId> = topology.standalone_nodes().into_iter().collect();
+
+    let plan: Vec<NodeSync> = sections
+        .iter()
+        .map(|s| {
+            let own = aux_locks.get(&s.id).copied();
+            let sources: Vec<SectionId> = topology.sources_of(s.id).to_vec();
+            let mut lockset: BTreeSet<AuxLockId> = BTreeSet::new();
+            if let Some(l) = own {
+                lockset.insert(l);
+            }
+            for src in &sources {
+                if let Some(l) = aux_locks.get(src) {
+                    lockset.insert(*l);
+                }
+            }
+            let strip_lock = config.strip_unneeded_locks
+                && (null_sections.contains(&s.id) || standalone.contains(&s.id));
+            NodeSync {
+                section: s.id,
+                aux_lock: own,
+                lockset,
+                sources,
+                strip_lock,
+            }
+        })
+        .collect();
+
+    // RULE 2: causal-edge nodes of the same original lock keep their
+    // original partial order, expressed as consecutive constraints along the
+    // timing order.
+    let mut order_constraints = Vec::new();
+    let causal = topology.causal_nodes();
+    let mut per_lock: BTreeMap<LockId, Vec<&CriticalSection>> = BTreeMap::new();
+    for s in sections {
+        if causal.contains(&s.id) {
+            per_lock.entry(s.lock).or_default().push(s);
+        }
+    }
+    for (lock, mut nodes) in per_lock {
+        nodes.sort_by_key(|s| (s.enter_time, s.id));
+        for pair in nodes.windows(2) {
+            order_constraints.push(OrderConstraint {
+                before: pair[0].id,
+                after: pair[1].id,
+                lock,
+            });
+        }
+    }
+
+    // Theorem 1: benign ULCPs become parallel although they touch the same
+    // data; report them as potential races.
+    let race_warnings = analysis
+        .ulcps
+        .iter()
+        .filter(|u| u.kind == UlcpKind::Benign)
+        .map(|u| RaceWarning {
+            first: u.first,
+            second: u.second,
+            lock: u.lock,
+        })
+        .collect();
+
+    TransformedTrace {
+        original: Cow::Borrowed(trace),
+        sections: Cow::Borrowed(sections),
+        plan,
+        order_constraints,
+        race_warnings,
+        num_aux_locks: aux_locks.len(),
     }
 }
 

@@ -26,9 +26,14 @@ fn record(seed: u64) -> Trace {
         .trace
 }
 
-fn transform(trace: &Trace) -> TransformedTrace {
-    let analysis = Detector::new(DetectorConfig::default()).analyze(trace);
-    Transformer::new(TransformConfig::default()).transform(trace, &analysis)
+fn analyze(trace: &Trace) -> UlcpAnalysis {
+    Detector::new(DetectorConfig::default()).analyze(trace)
+}
+
+/// The transformed trace borrows the trace and the analysis, so the caller
+/// keeps both alive.
+fn transform<'a>(trace: &'a Trace, analysis: &'a UlcpAnalysis) -> TransformedTrace<'a> {
+    Transformer::new(TransformConfig::default()).transform(trace, analysis)
 }
 
 fn replay(tt: &TransformedTrace) -> Result<ReplayResult, ReplayError> {
@@ -65,7 +70,8 @@ fn inversion_candidates(
 #[test]
 fn clean_schedule_passes_statically_and_dynamically() {
     let trace = record(3);
-    let tt = transform(&trace);
+    let analysis = analyze(&trace);
+    let tt = transform(&trace, &analysis);
     let diagnostics = analyze_schedule(&tt);
     assert!(diagnostics.is_empty(), "{diagnostics:?}");
     replay(&tt).expect("clean schedule replays to completion");
@@ -74,7 +80,8 @@ fn clean_schedule_passes_statically_and_dynamically() {
 #[test]
 fn lock_order_cycle_is_caught_statically_and_reproduces_stuck() {
     let trace = record(3);
-    let mut tt = transform(&trace);
+    let analysis = analyze(&trace);
+    let mut tt = transform(&trace, &analysis);
     let (x, y) = inversion_candidates(&tt);
 
     // The inverted constraint: X (which the thread reaches first) must wait
@@ -110,7 +117,8 @@ fn lock_order_cycle_is_caught_statically_and_reproduces_stuck() {
 #[test]
 fn constraint_on_stripped_section_is_ignored_by_both() {
     let trace = record(3);
-    let mut tt = transform(&trace);
+    let analysis = analyze(&trace);
+    let mut tt = transform(&trace, &analysis);
     // The replayer completes stripped sections without consulting
     // constraints, so a backwards constraint whose `after` is stripped is
     // dead — the static analysis must agree and stay quiet.
@@ -163,7 +171,8 @@ fn verdicts_agree_across_seeds() {
     // several workloads.
     for seed in [5u64, 11, 23] {
         let trace = record(seed);
-        let mut tt = transform(&trace);
+        let analysis = analyze(&trace);
+        let mut tt = transform(&trace, &analysis);
         assert!(
             analyze_schedule(&tt).is_empty(),
             "seed {seed}: transform output flagged"

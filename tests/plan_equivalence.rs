@@ -5,7 +5,9 @@
 //! transform configurations and every engine feeding the plan sink (the
 //! naive reference, batch sequential, `DetectorConfig::parallel`, streaming
 //! inline and threaded at arbitrary chunk sizes), and the single-pass report
-//! equals the two-pass aggregate report.
+//! equals the two-pass aggregate report. Both transformer entry points are
+//! also checked against `reference_transform`, the independent naive
+//! RULE 1–4 builder.
 
 use proptest::prelude::*;
 
@@ -13,6 +15,7 @@ use perfplay::prelude::*;
 use perfplay::workloads::{random_workload, GeneratorConfig};
 use perfplay_detect::reference_analyze_with;
 use perfplay_trace::Trace;
+use perfplay_transform::reference_transform;
 
 fn record(seed: u64, config: &GeneratorConfig) -> Trace {
     let program = random_workload(seed, config);
@@ -57,8 +60,50 @@ fn assert_transforms_identical(
     Ok(())
 }
 
+/// Few threads and many objects, so conflicts are rare and most sections
+/// are standalone and stripped — `plan_narrow`'s shape, scaled down.
+fn stripped_heavy_config() -> impl Strategy<Value = GeneratorConfig> {
+    (24usize..64, 8u32..40).prop_map(|(objects, sections_per_thread)| GeneratorConfig {
+        threads: 2,
+        locks: 2,
+        objects,
+        sections_per_thread,
+    })
+}
+
+/// Field-wise equality of the synchronization a transformation computed.
+fn assert_sync_identical(a: &TransformedTrace, b: &TransformedTrace) -> Result<(), TestCaseError> {
+    prop_assert_eq!(&a.plan, &b.plan);
+    prop_assert_eq!(&a.order_constraints, &b.order_constraints);
+    prop_assert_eq!(&a.race_warnings, &b.race_warnings);
+    prop_assert_eq!(a.num_aux_locks, b.num_aux_locks);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Both transformer entry points equal `reference_transform`, the naive
+    /// `Topology`/`BTreeMap` RULE 1–4 builder, on random and stripped-heavy
+    /// workloads with stripping on and off.
+    #[test]
+    fn transform_matches_the_reference_spec(
+        seed in 0u64..5_000,
+        gen in prop_oneof![generator_config(), stripped_heavy_config()],
+        config in detector_configs(),
+        strip in 0u32..2,
+    ) {
+        let trace = record(seed, &gen);
+        let transform_config = TransformConfig {
+            strip_unneeded_locks: strip == 1,
+        };
+        let transformer = Transformer::new(transform_config);
+        let analysis = Detector::new(config).analyze(&trace);
+        let expected = reference_transform(transform_config, &trace, &analysis);
+        assert_sync_identical(&transformer.transform(&trace, &analysis), &expected)?;
+        let plan = Detector::new(config).plan(&trace, BodyOverlapGain);
+        assert_sync_identical(&transformer.transform_from_plan(&trace, &plan), &expected)?;
+    }
 
     /// `transform_from_plan` over every engine's `DetectionPlan` equals
     /// `transform` over the materialized analysis, and the plan itself is
